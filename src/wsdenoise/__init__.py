@@ -32,9 +32,9 @@ from wsdenoise.crossval import (
     estimate_oos,
 )
 from wsdenoise.confidence import Thresholds, ConfidentLabels, class_thresholds, confident_labels
+from wsdenoise.pipeline import DenoiseResult
 from wsdenoise.ulf import (
     UlfConfig,
-    DenoiseResult,
     lf_confident_matrix,
     calibrate,
     refine_t,

@@ -62,7 +62,9 @@ def _parse_overrides(args: list[str]) -> dict:
 def _coerce(value: str, target_type):
     if value.lower() in ("none", ""):
         return None
-    if target_type is bool or target_type == "bool":
+    if target_type is bool:
+        if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"invalid boolean {value!r}; expected true/false, yes/no or 1/0")
         return value.lower() in ("1", "true", "yes")
     if target_type is int:
         return int(value)
@@ -76,7 +78,7 @@ _RUN_TYPES = {
     "partitions": int, "epochs": int, "patience": int, "batch_size": int,
     "min_df": int, "max_features": int,
     "p": float, "lambda_rate": float, "epsilon": float, "lr": float, "l2": float,
-    "use_raw_joint": bool, "dump_folds": bool,
+    "dump_folds": bool,
 }
 
 _SYNTH_TYPES = {
@@ -100,7 +102,7 @@ def _build_run_config(values: dict, method: str) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _build_grid(values: dict, base_keys_seen: dict):
+def _build_grid(values: dict):
     """Split comma-valued hyperparameters into a grid space."""
     space = {}
     scalars = {}
@@ -168,7 +170,7 @@ def main(argv=None) -> int:
         budget = values.pop("budget", None)
         budget = int(budget) if budget is not None else None
         method = values.pop("method", "ulf")
-        scalars, space = _build_grid(values, {})
+        scalars, space = _build_grid(values)
         base = _build_run_config(scalars, method)
         if not space:
             raise ValueError("grid verb needs at least one comma-valued hyperparameter")

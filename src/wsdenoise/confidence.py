@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wsdenoise.corpus import as_labels
+
 NO_LABEL = -1
 
 
@@ -30,12 +32,9 @@ class ConfidentLabels:
         return self.labels != NO_LABEL
 
 
-def _probs_array(probs) -> np.ndarray:
-    return probs.probs if hasattr(probs, "probs") else np.asarray(probs, dtype=float)
-
-
-def _labels_array(labels) -> np.ndarray:
-    return labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
+def as_probs(probs) -> np.ndarray:
+    """N x K probability array from an ``OOSProbs`` or an array."""
+    return np.asarray(getattr(probs, "probs", probs), dtype=float)
 
 
 def class_thresholds(probs, noisy) -> Thresholds:
@@ -44,8 +43,8 @@ def class_thresholds(probs, noisy) -> Thresholds:
     The fallback keeps zero-support classes claimable by a genuinely dominant
     prediction instead of locking them out.
     """
-    p = _probs_array(probs)
-    y = _labels_array(noisy)
+    p = as_probs(probs)
+    y = as_labels(noisy)
     k = p.shape[1]
     t = np.empty(k)
     support = np.zeros(k, dtype=np.int64)
@@ -58,7 +57,7 @@ def class_thresholds(probs, noisy) -> Thresholds:
 
 def confident_labels(probs, th: Thresholds) -> ConfidentLabels:
     """Argmax over threshold-clearing classes; ties go to the lowest class index."""
-    p = _probs_array(probs)
+    p = as_probs(probs)
     qualifies = p >= th.t[None, :]
     masked = np.where(qualifies, p, -np.inf)
     labels = np.argmax(masked, axis=1).astype(np.int64)  # first max: lowest index on ties

@@ -17,7 +17,7 @@ alongside run outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,12 +78,8 @@ class WeakDataset:
     def matched_mask(self) -> np.ndarray:
         return self.lf_hits > 0
 
-    def signature(self, i: int) -> tuple[int, ...]:
-        """Sorted set of LF indices matched in sample i (may be empty)."""
-        row = self.z[[i], :].tocoo()
-        return tuple(sorted(int(j) for j in row.coords[1]))
-
     def signatures(self) -> list[tuple[int, ...]]:
+        """Per sample, the sorted LF indices it matched (may be empty)."""
         csr = self.z.tocsr()
         out = []
         for i in range(self.n_samples):
@@ -104,6 +100,11 @@ class LabelVector:
 
     def copy(self) -> "LabelVector":
         return LabelVector(self.labels.copy(), self.was_unmatched.copy())
+
+
+def as_labels(labels) -> np.ndarray:
+    """Integer label array from a ``LabelVector``/``ConfidentLabels`` or an array."""
+    return np.asarray(getattr(labels, "labels", labels), dtype=np.int64)
 
 
 @dataclass
@@ -176,12 +177,8 @@ def _read_lines(path):
         return f.read().splitlines()
 
 
-def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
-    """Load a dataset from the canonical file layout, validating as it goes.
-
-    Malformed rows, out-of-range indices, non-one-hot T rows and inconsistent
-    dimensions are all reported with the offending file and line number.
-    """
+def read_documents(doc_path):
+    """Read ``id<TAB>text`` lines; returns ``(ids, texts, {id: dense index})``."""
     ids, texts = [], []
     seen = {}
     for lineno, line in enumerate(_read_lines(doc_path), 1):
@@ -195,6 +192,46 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
         seen[sid] = len(ids)
         ids.append(sid)
         texts.append(text)
+    return ids, texts, seen
+
+
+def read_gold(gold_path, ids, seen, k) -> np.ndarray:
+    """Read ``id<TAB>class_id`` lines into a label array aligned with ``ids``.
+
+    Every document needs exactly one gold line, and every gold line a document.
+    """
+    gold = np.full(len(ids), -1, dtype=np.int64)
+    for lineno, line in enumerate(_read_lines(gold_path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{gold_path} line {lineno}: expected 'id<TAB>class_id'")
+        sid, cls_s = parts
+        if sid not in seen:
+            raise ValueError(f"{gold_path} line {lineno}: unknown sample id {sid!r}")
+        if gold[seen[sid]] >= 0:
+            raise ValueError(f"{gold_path} line {lineno}: duplicate sample id {sid!r}")
+        try:
+            cls = int(cls_s)
+        except ValueError:
+            raise ValueError(f"{gold_path} line {lineno}: class_id must be an integer") from None
+        if not 0 <= cls < k:
+            raise ValueError(f"{gold_path} line {lineno}: class index out of range (K={k})")
+        gold[seen[sid]] = cls
+    if (gold < 0).any():
+        missing = ids[int(np.flatnonzero(gold < 0)[0])]
+        raise ValueError(f"{gold_path}: missing gold label for sample id {missing!r}")
+    return gold
+
+
+def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
+    """Load a dataset from the canonical file layout, validating as it goes.
+
+    Malformed rows, out-of-range indices, non-one-hot T rows and inconsistent
+    dimensions are all reported with the offending file and line number.
+    """
+    ids, texts, seen = read_documents(doc_path)
     n = len(ids)
 
     z_lines = _read_lines(z_path)
@@ -258,26 +295,7 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
     if bad.size:
         raise ValueError(f"{t_path}: T row not one-hot for lf_id {int(bad[0])}")
 
-    gold = None
-    if gold_path is not None:
-        gold = np.full(n, -1, dtype=np.int64)
-        for lineno, line in enumerate(_read_lines(gold_path), 1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{gold_path} line {lineno}: expected 'id<TAB>class_id'")
-            sid, cls_s = parts
-            if sid not in seen:
-                raise ValueError(f"{gold_path} line {lineno}: unknown sample id {sid!r}")
-            cls = int(cls_s)
-            if not 0 <= cls < k:
-                raise ValueError(f"{gold_path} line {lineno}: class index out of range (K={k})")
-            gold[seen[sid]] = cls
-        if (gold < 0).any():
-            missing = ids[int(np.flatnonzero(gold < 0)[0])]
-            raise ValueError(f"{gold_path}: missing gold label for sample id {missing!r}")
-
+    gold = None if gold_path is None else read_gold(gold_path, ids, seen, k)
     return WeakDataset(texts=texts, ids=ids, z=z, t=t, num_classes=k, gold=gold)
 
 

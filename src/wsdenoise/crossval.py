@@ -20,11 +20,11 @@ seeded-random without replacement, carrying their current labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from wsdenoise.corpus import LabelVector, WeakDataset
+from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
 from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, transform
 from wsdenoise.linear import ClassifierConfig, predict_proba, train
 from wsdenoise.seeding import derive_seed
@@ -182,7 +182,7 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     """
     feat_cfg = feat_cfg or FeaturizeConfig()
     clf_cfg = clf_cfg or ClassifierConfig()
-    y = np.asarray(labels.labels, dtype=np.int64)
+    y = as_labels(labels)
     n, k_classes = ds.n_samples, ds.num_classes
     acc = np.zeros((n, k_classes))
     cnt = np.zeros(n, dtype=np.int64)
@@ -195,11 +195,7 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
                 vocab = fit_vocabulary(train_texts, feat_cfg)
                 x_tr = transform(train_texts, vocab)
                 x_te = transform([ds.texts[i] for i in te], vocab)
-                fold_cfg = ClassifierConfig(
-                    learning_rate=clf_cfg.learning_rate, epochs=clf_cfg.epochs,
-                    patience=clf_cfg.patience, batch_size=clf_cfg.batch_size,
-                    l2=clf_cfg.l2, seed=derive_seed(clf_cfg.seed, fi),
-                )
+                fold_cfg = replace(clf_cfg, seed=derive_seed(clf_cfg.seed, fi))
                 model = train(x_tr, y[tr], cfg=fold_cfg, num_classes=k_classes)
                 p = predict_proba(model, x_te)
         except Exception as exc:

@@ -15,27 +15,31 @@ separate ``timing.json`` so repeated runs stay byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
+import shutil
 import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from wsdenoise.corpus import (
-    LabelVector,
     WeakDataset,
+    as_labels,
     dataset_stats,
     load_dataset,
     majority_vote,
+    read_documents,
+    read_gold,
 )
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import train_text_model
+from wsdenoise.pipeline import DenoiseResult, train_text_model
 from wsdenoise.seeding import derive_seed
-from wsdenoise.ulf import DenoiseResult, UlfConfig, run_ulf
+from wsdenoise.ulf import UlfConfig, run_ulf
 from wsdenoise.wscl import WsclConfig, run_wscl
 from wsdenoise.wscw import WscwConfig, run_wscw
 
@@ -46,6 +50,11 @@ STRATEGY_ALIASES = {
     "lfs": "by_lf", "by_lf": "by_lf",
     "sgn": "by_signature", "by_signature": "by_signature",
 }
+# the files ``run`` writes into a run directory, besides ``diagnostics/``;
+# a rerun removes these first
+ARTIFACT_FILES = ("config.txt", "id_mapping.tsv", "labels_corrected.tsv", "t_refined.tsv",
+                  "metrics.json", "timing.json", "weights.tsv", "prune_report.json",
+                  "fold_audit.tsv")
 
 
 @dataclass
@@ -70,7 +79,6 @@ class RunConfig:
     iters: int = 20
     stall_patience: int = 3
     lambda_rate: float = 0.0
-    use_raw_joint: bool = False
     # WSCW
     partitions: int = 3
     epsilon: float = 0.7
@@ -120,10 +128,6 @@ class MetricsReport:
 # metrics
 
 
-def _labels_array(labels) -> np.ndarray:
-    return labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
-
-
 def _f1(tp: int, fp: int, fn: int) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
@@ -131,8 +135,8 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 def evaluate(pred, gold, metric: str) -> float:
     """Accuracy, binary F1 (class 1 positive, K=2), or macro F1."""
-    p = _labels_array(pred)
-    g = _labels_array(gold)
+    p = as_labels(pred)
+    g = as_labels(gold)
     if len(p) != len(g):
         raise ValueError("prediction and gold lengths disagree")
     if metric == "accuracy":
@@ -161,67 +165,42 @@ def evaluate(pred, gold, metric: str) -> float:
 
 
 def _load_split(doc_path, gold_path, num_classes):
-    texts, gold = [], {}
-    ids = []
-    with open(doc_path, encoding="utf-8") as f:
-        for line in f.read().splitlines():
-            if not line:
-                continue
-            sid, text = line.split("\t", 1)
-            ids.append(sid)
-            texts.append(text)
-    with open(gold_path, encoding="utf-8") as f:
-        for line in f.read().splitlines():
-            if not line:
-                continue
-            sid, cls = line.split("\t")
-            gold[sid] = int(cls)
-    labels = np.array([gold[sid] for sid in ids], dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(f"{gold_path}: class index out of range")
-    return texts, labels
+    """Documents and gold labels of a dev or test split, validated like the training set."""
+    ids, texts, seen = read_documents(doc_path)
+    return texts, read_gold(gold_path, ids, seen, num_classes)
 
 
 # ---------------------------------------------------------------------------
 # single repeat
 
 
-def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int):
-    """Run one repeat; returns (corrected LabelVector, TextModel, extras dict)."""
+def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int) -> DenoiseResult:
+    """Run one repeat of the configured method."""
     strategy = STRATEGY_ALIASES[cfg.strategy]
     feat = cfg.featurize_config()
     clf = cfg.classifier_config(seed)
-    if cfg.method == "baseline_majority":
-        labels = majority_vote(ds, ds.t, seed)
-        model = train_text_model(ds.texts, labels.labels, ds.num_classes,
-                                 feat_cfg=feat, clf_cfg=clf)
-        return labels, model, {}
     if cfg.method == "ulf":
-        ucfg = UlfConfig(p=cfg.p, k=cfg.k, strategy=strategy,
-                         lambda_rate=cfg.lambda_rate, max_iters=cfg.iters,
-                         stall_patience=cfg.stall_patience, seed=seed,
-                         clf=clf, feat=feat, mix_raw_joint=cfg.use_raw_joint)
-        res = run_ulf(ds, ucfg)
-        return res.final_labels, res.final_model, {"result": res}
-    if cfg.method == "wscw":
-        wcfg = WscwConfig(k=cfg.k, partitions=cfg.partitions, epsilon=cfg.epsilon,
-                          seed=seed, clf=clf, feat=feat)
-        audit: dict = {}
-
-        def _collect(plan, probs):
-            audit["plan"], audit["probs"] = plan, probs
-
-        weights, model = run_wscw(ds, wcfg, collect_audit=_collect)
-        labels = majority_vote(ds, ds.t, seed)
-        return labels, model, {"weights": weights, **audit}
+        return run_ulf(ds, UlfConfig(p=cfg.p, k=cfg.k, strategy=strategy,
+                                     lambda_rate=cfg.lambda_rate, max_iters=cfg.iters,
+                                     stall_patience=cfg.stall_patience, seed=seed,
+                                     clf=clf, feat=feat))
     if cfg.method == "wscl":
-        if strategy == "random":
-            raise ValueError("wscl requires strategy lfs or sgn")
-        wcfg = WsclConfig(k=cfg.k, strategy=strategy, lambda_rate=cfg.lambda_rate,
-                          seed=seed, clf=clf, feat=feat)
-        res = run_wscl(ds, wcfg)
-        return res.final_labels, res.final_model, {"result": res}
-    raise ValueError(f"unknown method {cfg.method!r}")
+        return run_wscl(ds, WsclConfig(k=cfg.k, strategy=strategy, lambda_rate=cfg.lambda_rate,
+                                       seed=seed, clf=clf, feat=feat))
+    labels = majority_vote(ds, ds.t, seed)
+    result = DenoiseResult(final_labels=labels, refined_t=np.asarray(ds.t, dtype=float))
+    if cfg.method == "wscw":
+        def _collect(plan, probs):
+            result.last_plan, result.last_probs = plan, probs
+
+        result.sample_weights, result.final_model = run_wscw(
+            ds, WscwConfig(k=cfg.k, partitions=cfg.partitions, epsilon=cfg.epsilon,
+                           seed=seed, clf=clf, feat=feat),
+            collect_audit=_collect, noisy=labels)
+    else:
+        result.final_model = train_text_model(ds.texts, labels.labels, ds.num_classes,
+                                              feat_cfg=feat, clf_cfg=clf)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +221,16 @@ def _write_fold_audit(path, plan, probs) -> None:
             f.write(f"{i}\t{folds}\t{int(probs.prediction_count[i])}\t{row}\n")
 
 
-def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, labels: LabelVector,
-                     extras: dict, report: MetricsReport, seeds: list) -> None:
+def _clear_artifacts(run_dir) -> None:
+    """Remove what an earlier run wrote here; every other entry is left alone."""
+    for name in ARTIFACT_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, name))
+    shutil.rmtree(os.path.join(run_dir, "diagnostics"), ignore_errors=True)
+
+
+def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, result: DenoiseResult,
+                     report: MetricsReport, seeds: list) -> None:
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as f:
         for fld in fields(RunConfig):
@@ -253,37 +240,31 @@ def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, labels: LabelVect
         for dense, sid in enumerate(ds.ids):
             f.write(f"{sid}\t{dense}\n")
     with open(os.path.join(run_dir, "labels_corrected.tsv"), "w", encoding="utf-8") as f:
-        for sid, lab in zip(ds.ids, labels.labels):
+        for sid, lab in zip(ds.ids, result.final_labels.labels):
             f.write(f"{sid}\t{int(lab)}\n")
-
-    result: DenoiseResult | None = extras.get("result")
-    t_out = result.refined_t if result is not None else np.asarray(ds.t, dtype=float)
     with open(os.path.join(run_dir, "t_refined.tsv"), "w", encoding="utf-8") as f:
-        for l in range(t_out.shape[0]):
-            vals = "\t".join(repr(float(v)) for v in t_out[l])
+        for l, row in enumerate(result.refined_t):
+            vals = "\t".join(repr(float(v)) for v in row)
             f.write(f"{l}\t{vals}\n")
 
-    if result is not None and result.diagnostics:
+    if result.diagnostics:
         diag_dir = os.path.join(run_dir, "diagnostics")
         os.makedirs(diag_dir, exist_ok=True)
         for d in result.diagnostics:
             with open(os.path.join(diag_dir, f"iter_{d['iteration']:03d}.json"), "w",
                       encoding="utf-8") as f:
                 json.dump(d, f, indent=1)
-    if result is not None and result.prune_report is not None:
+    if result.prune_report is not None:
         with open(os.path.join(run_dir, "prune_report.json"), "w", encoding="utf-8") as f:
             json.dump(result.prune_report, f, indent=1)
-    if "weights" in extras:
-        w = extras["weights"]
+    if result.sample_weights is not None:
+        w = result.sample_weights
         with open(os.path.join(run_dir, "weights.tsv"), "w", encoding="utf-8") as f:
             for sid, wv, fl in zip(ds.ids, w.w, w.flags):
                 f.write(f"{sid}\t{repr(float(wv))}\t{int(fl)}\n")
-
-    if cfg.dump_folds:
-        plan = result.last_plan if result is not None else extras.get("plan")
-        probs = result.last_probs if result is not None else extras.get("probs")
-        if plan is not None and probs is not None:
-            _write_fold_audit(os.path.join(run_dir, "fold_audit.tsv"), plan, probs)
+    if cfg.dump_folds and result.last_plan is not None:
+        _write_fold_audit(os.path.join(run_dir, "fold_audit.tsv"),
+                          result.last_plan, result.last_probs)
 
     payload = {
         "method": cfg.method,
@@ -327,26 +308,27 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
         test = _load_split(cfg.test_doc_path, cfg.test_gold_path, ds.num_classes)
     if test is None and ds.gold is None:
         raise ValueError("no evaluation target: provide a test split or training gold")
+    _clear_artifacts(cfg.out_dir)
 
     values, dev_values, failures = [], [], []
     outcomes = []
     seeds = [derive_seed(cfg.seed, 800, r) for r in range(cfg.repeats)]
     for r, seed in enumerate(seeds):
         try:
-            labels, model, extras = _execute_repeat(ds, cfg, seed)
+            result = _execute_repeat(ds, cfg, seed)
         except (RuntimeError, ValueError) as exc:
             failures.append(f"repeat {r}: {exc}")
             continue
         if test is not None:
-            value = evaluate(model.predict(test[0]), test[1], cfg.metric)
+            value = evaluate(result.final_model.predict(test[0]), test[1], cfg.metric)
         else:
-            value = evaluate(labels, ds.gold, cfg.metric)
+            value = evaluate(result.final_labels, ds.gold, cfg.metric)
         dev_value = None
         if dev is not None:
-            dev_value = evaluate(model.predict(dev[0]), dev[1], cfg.metric)
+            dev_value = evaluate(result.final_model.predict(dev[0]), dev[1], cfg.metric)
             dev_values.append(dev_value)
         values.append(value)
-        outcomes.append((dev_value, labels, model, extras))
+        outcomes.append((dev_value, result))
 
     if not values:
         raise RuntimeError("all repeats failed: " + "; ".join(failures))
@@ -364,8 +346,7 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
         best = max(range(len(outcomes)), key=lambda i: outcomes[i][0])
     else:
         best = len(outcomes) - 1
-    _, labels, model, extras = outcomes[best]
-    _write_artifacts(cfg.out_dir, cfg, ds, labels, extras, report, seeds)
+    _write_artifacts(cfg.out_dir, cfg, ds, outcomes[best][1], report, seeds)
     return report
 
 
@@ -375,7 +356,10 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
 
     The sweep is exhaustive in first-in-grid order, or truncated to
     ``budget`` points chosen by a seeded shuffle.  Ties break toward the
-    earlier grid point.  Returns ``(best RunConfig, results list)``.
+    earlier grid point.  A point whose run fails is recorded with its
+    ``error`` and a null ``dev_mean``, and the sweep goes on; it raises only
+    when every point fails, after writing ``grid_results.json``.  Returns
+    ``(best RunConfig, results list)``.
     """
     if not (base.dev_doc_path and base.dev_gold_path):
         raise ValueError("grid search requires a dev split for selection")
@@ -395,14 +379,23 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     for idx in indices:
         cfg = replace(base, **points[idx],
                       out_dir=os.path.join(base.out_dir, f"grid_{idx:04d}"))
-        report = run(cfg, ds=ds)
+        try:
+            report = run(cfg, ds=ds)
+        except (RuntimeError, ValueError) as exc:
+            results.append({"grid_index": idx, "params": points[idx], "error": str(exc),
+                            "dev_mean": None, "test_mean": None})
+            continue
         score = report.dev_mean
         results.append({"grid_index": idx, "params": points[idx],
                         "dev_mean": score, "test_mean": report.mean})
         if score > best_score:
             best_cfg, best_score, best_idx = cfg, score, idx
+    os.makedirs(base.out_dir, exist_ok=True)
     with open(os.path.join(base.out_dir, "grid_results.json"), "w", encoding="utf-8") as f:
         json.dump({"best_index": best_idx, "results": results}, f, indent=1, sort_keys=True)
+    if best_cfg is None:
+        raise RuntimeError("every grid point failed: "
+                           + "; ".join(f"point {r['grid_index']}: {r['error']}" for r in results))
     return best_cfg, results
 
 

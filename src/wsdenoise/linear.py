@@ -14,13 +14,11 @@ are returned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-MODEL_FORMAT_VERSION = 1
+from wsdenoise.corpus import as_labels
 
 
 @dataclass
@@ -80,12 +78,6 @@ def _mean_loss(weights, bias, x, y, sample_weights, l2):
     )
 
 
-def _as_labels(labels) -> np.ndarray:
-    if hasattr(labels, "labels"):
-        return np.asarray(labels.labels, dtype=np.int64)
-    return np.asarray(labels, dtype=np.int64)
-
-
 def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = None,
           val=None, num_classes: int | None = None) -> Model:
     """Fit by mini-batch SGD and return the best-epoch parameters.
@@ -96,7 +88,7 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     zero-weight samples are inert.
     """
     cfg = cfg or ClassifierConfig()
-    y = _as_labels(labels)
+    y = as_labels(labels)
     n = features.shape[0]
     if len(y) != n:
         raise ValueError("feature and label lengths disagree")
@@ -118,7 +110,7 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     log: list[float] = []
 
     if val is not None:
-        val_x, val_y = val[0], _as_labels(val[1])
+        val_x, val_y = val[0], as_labels(val[1])
         val_w = np.ones(len(val_y))
 
     for epoch in range(cfg.epochs):
@@ -158,27 +150,3 @@ def predict_proba(model: Model, features) -> np.ndarray:
     if features.shape[1] != model.weights.shape[0]:
         raise ValueError("feature width does not match model")
     return np.exp(_log_softmax(features @ model.weights + model.bias))
-
-
-def save_model(model: Model, path) -> None:
-    """Serialize to a versioned JSON artifact; floats round-trip exactly."""
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "training_log": model.training_log,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-
-
-def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {payload.get('format_version')}")
-    return Model(
-        weights=np.array(payload["weights"], dtype=float),
-        bias=np.array(payload["bias"], dtype=float),
-        training_log=list(payload["training_log"]),
-    )

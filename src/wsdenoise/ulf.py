@@ -18,17 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wsdenoise.confidence import (
-    NO_LABEL,
-    Thresholds,
-    class_thresholds,
-    confident_labels,
-)
-from wsdenoise.corpus import LabelVector, WeakDataset, majority_vote
-from wsdenoise.crossval import OOSProbs, build_plan, estimate_oos
+from wsdenoise.confidence import NO_LABEL, Thresholds, confident_labels
+from wsdenoise.corpus import LabelVector, WeakDataset, as_labels, majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import TextModel, train_text_model
+from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
 from wsdenoise.seeding import derive_seed
 
 
@@ -55,7 +49,6 @@ class UlfConfig:
     seed: int = 0
     clf: ClassifierConfig = field(default_factory=ClassifierConfig)
     feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
-    mix_raw_joint: bool = False          # mix count-scaled Q instead of row-normalized Q
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -66,24 +59,9 @@ class UlfConfig:
             raise ValueError("max_iters and stall_patience must be >= 1")
 
 
-@dataclass
-class DenoiseResult:
-    final_labels: LabelVector
-    refined_t: np.ndarray
-    iterations_run: int
-    label_change_fractions: list
-    final_model: TextModel | None = None
-    diagnostics: list = field(default_factory=list)
-    sample_weights: np.ndarray | None = None
-    keep_mask: np.ndarray | None = None
-    prune_report: dict | None = None
-    last_plan: object = None
-    last_probs: OOSProbs | None = None
-
-
 def lf_confident_matrix(ds: WeakDataset, conf) -> LfConfidentMatrix:
     """Count confident co-occurrences: c[l][j] = #{samples: LF l matches, label j}."""
-    labels = conf.labels if hasattr(conf, "labels") else np.asarray(conf, dtype=np.int64)
+    labels = as_labels(conf)
     c = np.zeros((ds.n_lfs, ds.num_classes), dtype=np.int64)
     has = labels != NO_LABEL
     if has.any():
@@ -103,12 +81,11 @@ def calibrate(cm: LfConfidentMatrix, ds: WeakDataset) -> CalibratedJoint:
     return CalibratedJoint(q, matches, informative)
 
 
-def refine_t(t: np.ndarray, cj: CalibratedJoint, p: float, mix_raw: bool = False) -> np.ndarray:
+def refine_t(t: np.ndarray, cj: CalibratedJoint, p: float) -> np.ndarray:
     """Mix evidence rows into the mapping: t_hat[l] = p * norm(q[l]) + (1-p) * t[l].
 
     Uninformative rows (no confident co-occurrence) keep their original
-    allocation.  With ``mix_raw`` the count-scaled q row is mixed instead of
-    the normalized one (comparison mode; breaks row-stochasticity).
+    allocation.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -116,9 +93,7 @@ def refine_t(t: np.ndarray, cj: CalibratedJoint, p: float, mix_raw: bool = False
     out = t.copy()
     for l in np.flatnonzero(cj.informative):
         row = cj.q[l]
-        if not mix_raw:
-            row = row / row.sum()
-        out[l] = p * row + (1.0 - p) * t[l]
+        out[l] = p * (row / row.sum()) + (1.0 - p) * t[l]
     return out
 
 
@@ -162,19 +137,13 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
     for it in range(1, cfg.max_iters + 1):
         iterations = it
         try:
-            plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate,
-                              derive_seed(cfg.seed, 200, it))
-            clf_cfg = ClassifierConfig(
-                learning_rate=cfg.clf.learning_rate, epochs=cfg.clf.epochs,
-                patience=cfg.clf.patience, batch_size=cfg.clf.batch_size,
-                l2=cfg.clf.l2, seed=derive_seed(cfg.seed, 300, it),
-            )
-            probs = estimate_oos(ds, train_labels, plan, cfg.feat, clf_cfg, fold_predict)
-            th = class_thresholds(probs, train_labels)
-            conf = confident_labels(probs, th)
+            plan, probs, th, conf = oos_evidence(
+                ds, train_labels, cfg.strategy, cfg.k, cfg.lambda_rate,
+                derive_seed(cfg.seed, 200, it), cfg.clf, derive_seed(cfg.seed, 300, it),
+                cfg.feat, fold_predict)
             cm = lf_confident_matrix(ds, conf)
             cj = calibrate(cm, ds)
-            t_hat = refine_t(t_hat, cj, cfg.p, cfg.mix_raw_joint)
+            t_hat = refine_t(t_hat, cj, cfg.p)
 
             updated = majority_vote(ds, t_hat, _vote_seed(cfg.seed, it))
             updated.labels[unmatched] = carried  # relabeling applies from the next iteration

@@ -14,14 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wsdenoise.confidence import NO_LABEL, class_thresholds, confident_labels
-from wsdenoise.corpus import LabelVector, WeakDataset, majority_vote
-from wsdenoise.crossval import build_plan, estimate_oos
+from wsdenoise.confidence import NO_LABEL, as_probs
+from wsdenoise.corpus import WeakDataset, as_labels, majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import train_text_model
+from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
 from wsdenoise.seeding import derive_seed
-from wsdenoise.ulf import DenoiseResult
 
 
 @dataclass
@@ -50,14 +48,10 @@ class WsclConfig:
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
 
 
-def _labels_array(labels) -> np.ndarray:
-    return labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
-
-
 def class_confident_joint(noisy, conf, num_classes: int | None = None) -> ClassConfidentJoint:
     """Count (noisy label, confident label) pairs over confidently labeled samples."""
-    y = _labels_array(noisy)
-    yc = _labels_array(conf)
+    y = as_labels(noisy)
+    yc = as_labels(conf)
     if num_classes is not None:
         k = num_classes
     else:
@@ -76,7 +70,7 @@ def calibrate_joint(cj: ClassConfidentJoint, noisy) -> np.ndarray:
     (noisy label, confident label) and sums to 1 when every class has both
     support and confident co-occurrences.
     """
-    y = _labels_array(noisy)
+    y = as_labels(noisy)
     n = len(y)
     k = cj.c.shape[0]
     counts = np.bincount(y, minlength=k).astype(float)
@@ -96,8 +90,8 @@ def prune(q: np.ndarray, probs, noisy) -> PruneMask:
     pruned once, claimed by the first cell in row-major order; margin ties
     break toward the lower sample id.
     """
-    p = probs.probs if hasattr(probs, "probs") else np.asarray(probs, dtype=float)
-    y = _labels_array(noisy)
+    p = as_probs(probs)
+    y = as_labels(noisy)
     n, k = len(y), q.shape[0]
     pruned = np.zeros(n, dtype=bool)
     pruned_counts = np.zeros((k, k), dtype=np.int64)
@@ -131,15 +125,9 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
     """
     if noisy is None:
         noisy = majority_vote(ds, ds.t, cfg.seed)
-    plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600))
-    clf_cfg = ClassifierConfig(
-        learning_rate=cfg.clf.learning_rate, epochs=cfg.clf.epochs,
-        patience=cfg.clf.patience, batch_size=cfg.clf.batch_size,
-        l2=cfg.clf.l2, seed=derive_seed(cfg.seed, 700),
-    )
-    probs = estimate_oos(ds, noisy, plan, cfg.feat, clf_cfg, fold_predict)
-    th = class_thresholds(probs, noisy)
-    conf = confident_labels(probs, th)
+    plan, probs, _, conf = oos_evidence(
+        ds, noisy, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600),
+        cfg.clf, derive_seed(cfg.seed, 700), cfg.feat, fold_predict)
     joint = class_confident_joint(noisy, conf, ds.num_classes)
     q = calibrate_joint(joint, noisy)
     mask = prune(q, probs, noisy)
@@ -159,8 +147,6 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
     return DenoiseResult(
         final_labels=noisy,
         refined_t=np.asarray(ds.t, dtype=float).copy(),
-        iterations_run=1,
-        label_change_fractions=[],
         final_model=model,
         keep_mask=mask.keep,
         prune_report=report,

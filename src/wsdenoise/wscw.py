@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wsdenoise.corpus import WeakDataset, majority_vote
-from wsdenoise.crossval import estimate_oos, plan_by_lf
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import TextModel, train_text_model
+from wsdenoise.pipeline import oos_evidence, train_text_model
 from wsdenoise.seeding import derive_seed
 
 
@@ -59,13 +58,9 @@ def run_wscw(ds: WeakDataset, cfg: WscwConfig, fold_predict=None,
     flags = np.zeros(ds.n_samples, dtype=np.int64)
 
     for part in range(cfg.partitions):
-        plan = plan_by_lf(ds, cfg.k, 0.0, derive_seed(cfg.seed, 400, part))
-        clf_cfg = ClassifierConfig(
-            learning_rate=cfg.clf.learning_rate, epochs=cfg.clf.epochs,
-            patience=cfg.clf.patience, batch_size=cfg.clf.batch_size,
-            l2=cfg.clf.l2, seed=derive_seed(cfg.seed, 500, part),
-        )
-        probs = estimate_oos(ds, noisy, plan, cfg.feat, clf_cfg, fold_predict)
+        plan, probs, _, _ = oos_evidence(
+            ds, noisy, "by_lf", cfg.k, 0.0, derive_seed(cfg.seed, 400, part),
+            cfg.clf, derive_seed(cfg.seed, 500, part), cfg.feat, fold_predict)
         pred = np.argmax(probs.probs, axis=1)
         flags += ((pred != noisy.labels) & matched).astype(np.int64)
         if collect_audit is not None:

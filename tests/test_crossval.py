@@ -149,7 +149,7 @@ class TestPlanBySignature:
         plan = plan_by_signature(ds, k=3, seed=0)
         for tr, te in plan.folds:
             assert len(te) >= 1
-            if ds.signature(int(te[0])) == (0, 1):
+            if ds.signatures()[int(te[0])] == (0, 1):
                 assert sorted(tr.tolist()) == [0, 1]
 
     def test_partition_and_constancy_on_signature_classes(self, rng):

@@ -156,6 +156,37 @@ class TestRun:
         # the classifier generalizes to the held-out documents
         assert report.mean >= 0.9
 
+    @pytest.mark.parametrize("docs, gold, match", [
+        ("a\tx y\nb\ty z\n", "a\t0\n", r"gold\.tsv: missing gold label for sample id 'b'"),
+        ("a\tx y\na\ty z\n", "a\t0\n", r"docs\.tsv line 2: duplicate sample id 'a'"),
+        ("a\tx y\nb\ty z\n", "a\t0\nb\t1\na\t1\n", r"gold\.tsv line 3: duplicate sample id 'a'"),
+        ("a\tx y\nb\ty z\n", "a\t0\nb 1\n", r"gold\.tsv line 2: expected 'id<TAB>class_id'"),
+        ("a\tx y\nb\ty z\n", "a\t0\nb\tone\n", r"gold\.tsv line 2: class_id must be an integer"),
+    ], ids=["missing_id", "duplicate_doc_id", "duplicate_gold_id", "malformed_line",
+            "non_integer_class"])
+    def test_bad_heldout_split_names_file_line_and_cause(self, tmp_path, docs, gold, match):
+        ds, _ = generate(SynthConfig(n_samples=60, seed=27, coverage_target=0.8))
+        (tmp_path / "docs.tsv").write_text(docs)
+        (tmp_path / "gold.tsv").write_text(gold)
+        cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
+                        test_doc_path=str(tmp_path / "docs.tsv"),
+                        test_gold_path=str(tmp_path / "gold.tsv"), **self._fast())
+        with pytest.raises(ValueError, match=match):
+            run(cfg, ds=ds)
+
+    @pytest.mark.parametrize("method", ["ulf", "wscw", "wscl"])
+    def test_fold_audit_covers_every_sample(self, tmp_path, method):
+        ds, _ = generate(SynthConfig(n_samples=150, seed=28, coverage_target=0.8))
+        out = tmp_path / method
+        run(RunConfig(method=method, out_dir=str(out), partitions=1, dump_folds=True,
+                      **self._fast()), ds=ds)
+        rows = [line.split("\t") for line in
+                (out / "fold_audit.tsv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(ds.n_samples))
+        assert all(int(r[2]) >= 1 for r in rows)
+        sums = np.array([sum(float(v) for v in r[3:]) for r in rows])
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
 
 class TestGridSearch:
     def _setup(self, tmp_path, n=200):
@@ -199,6 +230,24 @@ class TestGridSearch:
         assert len(results) == 4
         top = max(results, key=lambda r: r["dev_mean"])
         assert best.p == top["params"]["p"] and best.k == top["params"]["k"]
+
+    def test_failed_point_is_recorded_and_sweep_continues(self, tmp_path):
+        ds, base = self._setup(tmp_path, n=300)
+        best, results = grid_search(base, {"k": [3, 5000]}, ds=ds)
+        assert best.k == 3
+        ok, failed = results
+        assert "error" not in ok and ok["dev_mean"] is not None
+        assert failed["dev_mean"] is None and "all repeats failed" in failed["error"]
+        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        assert written == {"best_index": 0, "results": results}
+
+    def test_all_points_failing_raises_after_writing_results(self, tmp_path):
+        ds, base = self._setup(tmp_path, n=300)
+        with pytest.raises(RuntimeError, match="every grid point failed"):
+            grid_search(base, {"k": [4000, 5000]}, ds=ds)
+        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        assert written["best_index"] is None
+        assert [r["dev_mean"] for r in written["results"]] == [None, None]
 
 
 class TestStatsReport:
@@ -302,6 +351,33 @@ class TestCli:
             a = (outs[0] / name).read_bytes()
             b = (outs[1] / name).read_bytes()
             assert a == b, name
+
+    def _data_args(self, data):
+        return ["--doc_path", f"{data}/docs.tsv", "--z_path", f"{data}/z.tsv",
+                "--t_path", f"{data}/t.tsv", "--gold_path", f"{data}/gold.tsv"]
+
+    @pytest.mark.parametrize("token", ["ture", "flase"])
+    def test_unknown_boolean_token_rejected(self, tmp_path, token):
+        data = self._synth(tmp_path)
+        with pytest.raises(ValueError, match=repr(token)):
+            cli.main(["ulf", "--dump_folds", token, *self._data_args(data),
+                      "--out_dir", str(tmp_path / "run"), "--epochs", "1",
+                      "--iters", "1", "--k", "3"])
+
+    def test_rerun_leaves_no_stale_artifacts(self, tmp_path):
+        data = self._synth(tmp_path)
+        out = tmp_path / "run"
+        (out / "grid_0000").mkdir(parents=True)
+        (out / "grid_results.json").write_text("{}")
+        common = ["ulf", *self._data_args(data), "--out_dir", str(out), "--epochs", "1",
+                  "--k", "3", "--stall_patience", "10"]
+        assert cli.main(common + ["--iters", "4", "--dump_folds", "true"]) == 0
+        assert (out / "diagnostics" / "iter_004.json").exists()
+        assert (out / "fold_audit.tsv").exists()
+        assert cli.main(common + ["--iters", "2"]) == 0
+        assert sorted(os.listdir(out / "diagnostics")) == ["iter_001.json", "iter_002.json"]
+        assert not (out / "fold_audit.tsv").exists()
+        assert (out / "grid_0000").is_dir() and (out / "grid_results.json").read_text() == "{}"
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):

@@ -4,10 +4,8 @@ import pytest
 from wsdenoise.linear import (
     ClassifierConfig,
     Model,
-    load_model,
     loss_and_grad,
     predict_proba,
-    save_model,
     train,
 )
 
@@ -121,21 +119,3 @@ class TestPredictProba:
         m = Model(weights=rng.normal(size=(8, 5)), bias=rng.normal(size=5))
         p = predict_proba(m, rng.normal(size=(1000, 8)))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path, rng):
-        m = Model(weights=rng.normal(size=(4, 3)), bias=rng.normal(size=3),
-                  training_log=[0.5, 0.25])
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert (m.weights == m2.weights).all()
-        assert (m.bias == m2.bias).all()
-        assert m.training_log == m2.training_log
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format_version": 99, "weights": [], "bias": [], "training_log": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)
