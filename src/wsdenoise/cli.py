@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from typing import get_args, get_type_hints
 
 from wsdenoise.corpus import load_dataset, save_dataset
 from wsdenoise.harness import RunConfig, grid_search, run, stats_report
@@ -59,46 +59,47 @@ def _parse_overrides(args: list[str]) -> dict:
     return out
 
 
-def _coerce(value: str, target_type):
-    if value.lower() in ("none", ""):
+def _field_types(cls) -> dict:
+    """Per dataclass field: (scalar type, whether the annotation admits None)."""
+    out = {}
+    for name, hint in get_type_hints(cls).items():
+        members = get_args(hint) or (hint,)
+        out[name] = (next(t for t in members if t is not type(None)), type(None) in members)
+    return out
+
+
+_RUN_TYPES = _field_types(RunConfig)
+_SYNTH_TYPES = _field_types(SynthConfig)
+
+
+def _coerce(key: str, value: str, types: dict):
+    """Parse one ``--key value`` string as the type its config field declares."""
+    target_type, nullable = types[key]
+    if nullable and value.lower() in ("none", ""):
         return None
     if target_type is bool:
         if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
-            raise ValueError(f"invalid boolean {value!r}; expected true/false, yes/no or 1/0")
+            raise ValueError(f"--{key}: invalid boolean {value!r}; "
+                             "expected true/false, yes/no or 1/0")
         return value.lower() in ("1", "true", "yes")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
+    if target_type in (int, float):
+        try:
+            return target_type(value)
+        except ValueError:
+            raise ValueError(f"--{key}: expected {target_type.__name__}, got {value!r}") from None
     return value
-
-
-_RUN_TYPES = {
-    "seed": int, "repeats": int, "k": int, "iters": int, "stall_patience": int,
-    "partitions": int, "epochs": int, "patience": int, "batch_size": int,
-    "min_df": int, "max_features": int,
-    "p": float, "lambda_rate": float, "epsilon": float, "lr": float, "l2": float,
-    "dump_folds": bool,
-}
-
-_SYNTH_TYPES = {
-    "n_samples": int, "n_classes": int, "n_lfs": int, "vocab_size": int,
-    "words_per_doc": int, "seed": int,
-    "lf_precision": float, "coverage_target": float,
-}
 
 
 def _build_run_config(values: dict, method: str) -> RunConfig:
     kwargs = {"method": method}
-    known = {f.name for f in fields(RunConfig)}
     for key, raw in values.items():
         if key in ("budget", "stats_repeats"):
             continue
-        if key not in known:
+        if key not in _RUN_TYPES:
             raise ValueError(f"unknown config key {key!r}")
         if key == "method":
             continue
-        kwargs[key] = _coerce(raw, _RUN_TYPES.get(key, str)) if isinstance(raw, str) else raw
+        kwargs[key] = _coerce(key, raw, _RUN_TYPES) if isinstance(raw, str) else raw
     return RunConfig(**kwargs)
 
 
@@ -108,7 +109,7 @@ def _build_grid(values: dict):
     scalars = {}
     for key, raw in values.items():
         if key in GRIDABLE and isinstance(raw, str) and "," in raw:
-            space[key] = [_coerce(v, _RUN_TYPES.get(key, str)) for v in raw.split(",")]
+            space[key] = [_coerce(key, v, _RUN_TYPES) for v in raw.split(",")]
         else:
             scalars[key] = raw
     return scalars, space
@@ -126,7 +127,7 @@ def _cmd_synth(values: dict) -> int:
                     pairs.append((int(lf), int(cls)))
             kwargs[key] = pairs
         elif key in _SYNTH_TYPES:
-            kwargs[key] = _coerce(raw, _SYNTH_TYPES[key]) if isinstance(raw, str) else raw
+            kwargs[key] = _coerce(key, raw, _SYNTH_TYPES) if isinstance(raw, str) else raw
         else:
             raise ValueError(f"unknown synth config key {key!r}")
     cfg = SynthConfig(**kwargs)

@@ -1,21 +1,24 @@
 """Fold planning and out-of-sample probability estimation.
 
-Three splitting strategies:
+Every plan follows one hold-out rule.  The N samples are tied to U *units*
+by an N x U 0/1 matrix, the units are shuffled into k groups, and fold f
+holds out group f: a matched sample is tested by every fold that holds out
+one of its units and trains in the folds that hold out none, so a bad LF
+cannot vouch for itself.  The strategies differ only in their units:
 
-* ``random``       -- standard k-fold over matched samples,
-* ``by_lf``        -- LFs are split into folds; a fold's training set holds
-  only samples whose signature is disjoint from the held-out LFs, so a
-  sample can be tested by several folds,
-* ``by_signature`` -- distinct signatures are split; samples sharing a
-  signature always land in the same test fold.
+* ``random``       -- each matched sample is its own unit: standard k-fold,
+* ``by_lf``        -- the LFs (``Z`` itself); a sample matching LFs from
+  several groups is tested by several folds,
+* ``by_signature`` -- the distinct nonempty signatures (the sorted LF sets
+  samples matched); test folds partition the matched samples.
 
-Unmatched samples (empty signature) are never test members under the
-by-LF/by-signature definitions, so every plan assigns each of them to
-exactly one test fold round-robin after a seeded shuffle; that guarantees
-every sample receives an out-of-sample probability row.  Training folds
-admit unmatched samples only through the lambda rate: each train fold takes
-``min(available, floor(matched_train_size / lambda))`` unmatched samples,
-seeded-random without replacement, carrying their current labels.
+Unmatched samples (empty signature) touch no unit, so every plan assigns
+each of them to exactly one test fold round-robin after a seeded shuffle;
+that guarantees every sample receives an out-of-sample probability row.
+Training folds admit unmatched samples only through the lambda rate: each
+train fold takes ``min(available, floor(matched_train_size / lambda))``
+unmatched samples, seeded-random without replacement, carrying their current
+labels.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
 from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, transform
@@ -49,110 +53,75 @@ class OOSProbs:
     prediction_count: np.ndarray  # per-sample number of fold-models that predicted it
 
 
-def _split_indices(ds: WeakDataset):
-    matched = np.flatnonzero(ds.matched_mask)
-    unmatched = np.flatnonzero(~ds.matched_mask)
-    return matched, unmatched
+def _indicator(rows, cols, shape) -> sp.csr_array:
+    return sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
 
 
-def _assign_unmatched_tests(test_sets, unmatched, k, seed):
-    """Round-robin unmatched samples over test folds after a seeded shuffle."""
-    if unmatched.size == 0:
-        return test_sets, [set() for _ in range(k)]
-    perm = np.random.default_rng([seed, 1]).permutation(unmatched)
-    extras = [perm[i::k] for i in range(k)]
-    merged = [np.sort(np.concatenate([t, e])).astype(np.int64) for t, e in zip(test_sets, extras)]
-    return merged, [set(e.tolist()) for e in extras]
+def _hold_out(ds: WeakDataset, strategy: str, units, what: str, k: int,
+              lambda_rate: float, seed: int) -> tuple[FoldPlan, list]:
+    """The hold-out rule: split the columns of the N x U ``units`` matrix into k groups.
 
-
-def _admit_unmatched(train_sets, unmatched, test_extras, lambda_rate, seed):
-    """Extend each train fold with lambda-admitted unmatched samples."""
-    out = []
-    for i, tr in enumerate(train_sets):
-        if lambda_rate <= 0 or unmatched.size == 0:
-            out.append(np.sort(tr).astype(np.int64))
-            continue
-        avail = np.array([u for u in unmatched if u not in test_extras[i]], dtype=np.int64)
-        n_admit = min(len(avail), int(len(tr) // lambda_rate))
-        if n_admit > 0:
-            rng = np.random.default_rng([seed, 2, i])
-            chosen = rng.choice(avail, size=n_admit, replace=False)
-            tr = np.concatenate([tr, chosen])
-        out.append(np.sort(tr).astype(np.int64))
-    return out
+    Fold f tests the samples with a unit in group f and trains on the matched
+    samples with none; unmatched samples (empty rows) are spread over the
+    test folds and admitted to training by ``lambda_rate``.  ``what`` names
+    the units in the error for a too-large k.  Returns the plan and, per
+    fold, the held-out unit indices.
+    """
+    n_units = units.shape[1]
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k > n_units:
+        raise ValueError(f"k={k} exceeds the number of {what} ({n_units})")
+    perm = np.random.default_rng([seed, 0]).permutation(n_units)
+    groups = np.array_split(perm, k)
+    fold_of = np.repeat(np.arange(k), [len(g) for g in groups])
+    touched = (units @ _indicator(perm, fold_of, (n_units, k))).toarray() > 0
+    matched = ds.matched_mask
+    unmatched = np.flatnonzero(~matched)
+    spread = np.random.default_rng([seed, 1]).permutation(unmatched)
+    folds = []
+    for f in range(k):
+        tr = np.flatnonzero(matched & ~touched[:, f])
+        te = np.flatnonzero(touched[:, f])
+        if tr.size == 0:
+            raise ValueError(f"{strategy} fold {f} has an empty train set")
+        if te.size == 0:
+            raise ValueError(f"{strategy} fold {f} has an empty test set")
+        extra = spread[f::k]
+        if lambda_rate > 0:
+            avail = np.setdiff1d(unmatched, extra)
+            n_admit = min(avail.size, int(tr.size // lambda_rate))
+            if n_admit > 0:
+                rng = np.random.default_rng([seed, 2, f])
+                tr = np.sort(np.concatenate([tr, rng.choice(avail, size=n_admit, replace=False)]))
+        folds.append((tr, np.sort(np.concatenate([te, extra]))))
+    return FoldPlan(strategy, k, folds, lambda_rate, seed), groups
 
 
 def plan_random(ds: WeakDataset, k: int, lambda_rate: float = 0.0, seed: int = 0) -> FoldPlan:
     """Standard k-fold partition of the matched samples."""
-    matched, unmatched = _split_indices(ds)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > matched.size:
-        raise ValueError(f"k={k} exceeds the number of matched samples ({matched.size})")
-    perm = np.random.default_rng([seed, 0]).permutation(matched)
-    test_sets = [np.sort(part).astype(np.int64) for part in np.array_split(perm, k)]
-    train_sets = [np.setdiff1d(matched, t) for t in test_sets]
-    test_sets, extras = _assign_unmatched_tests(test_sets, unmatched, k, seed)
-    train_sets = _admit_unmatched(train_sets, unmatched, extras, lambda_rate, seed)
-    return FoldPlan("random", k, list(zip(train_sets, test_sets)), lambda_rate, seed)
+    matched = np.flatnonzero(ds.matched_mask)
+    units = _indicator(matched, np.arange(matched.size), (ds.n_samples, matched.size))
+    return _hold_out(ds, "random", units, "matched samples", k, lambda_rate, seed)[0]
 
 
 def plan_by_lf(ds: WeakDataset, k: int, lambda_rate: float = 0.0, seed: int = 0) -> FoldPlan:
     """Split LFs into k folds; train only on samples disjoint from held-out LFs."""
-    matched, unmatched = _split_indices(ds)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if k > ds.n_lfs:
-        raise ValueError(f"k={k} exceeds the number of LFs ({ds.n_lfs})")
-    perm = np.random.default_rng([seed, 0]).permutation(ds.n_lfs)
-    lf_folds = [set(part.tolist()) for part in np.array_split(perm, k)]
-    zd = ds.z.toarray()
-    train_sets, test_sets = [], []
-    for i, f in enumerate(lf_folds):
-        lf_idx = sorted(f)
-        hits = zd[:, lf_idx].sum(axis=1)
-        disjoint = (hits == 0) & ds.matched_mask
-        overlapping = (hits > 0) & ds.matched_mask
-        tr = np.flatnonzero(disjoint).astype(np.int64)
-        te = np.flatnonzero(overlapping).astype(np.int64)
-        if tr.size == 0:
-            raise ValueError(f"by_lf fold {i} has an empty train set")
-        if te.size == 0:
-            raise ValueError(f"by_lf fold {i} has an empty test set")
-        train_sets.append(tr)
-        test_sets.append(te)
-    test_sets, extras = _assign_unmatched_tests(test_sets, unmatched, k, seed)
-    train_sets = _admit_unmatched(train_sets, unmatched, extras, lambda_rate, seed)
-    plan = FoldPlan("by_lf", k, list(zip(train_sets, test_sets)), lambda_rate, seed)
-    plan.lf_folds = [sorted(f) for f in lf_folds]
+    plan, groups = _hold_out(ds, "by_lf", ds.z, "LFs", k, lambda_rate, seed)
+    plan.lf_folds = [sorted(g.tolist()) for g in groups]
     return plan
 
 
 def plan_by_signature(ds: WeakDataset, k: int, lambda_rate: float = 0.0, seed: int = 0) -> FoldPlan:
     """Split distinct signatures into k folds; test folds partition matched samples."""
-    matched, unmatched = _split_indices(ds)
-    if k < 2:
-        raise ValueError("k must be >= 2")
     sigs = ds.signatures()
+    matched = np.flatnonzero(ds.matched_mask)
     distinct = sorted({sigs[i] for i in matched})
-    if k > len(distinct):
-        raise ValueError(
-            f"k={k} exceeds the number of distinct nonempty signatures ({len(distinct)})"
-        )
-    order = np.random.default_rng([seed, 0]).permutation(len(distinct))
-    sig_folds = [
-        {distinct[j] for j in part} for part in np.array_split(order, k)
-    ]
-    train_sets, test_sets = [], []
-    for f in sig_folds:
-        te = np.array([i for i in matched if sigs[i] in f], dtype=np.int64)
-        tr = np.array([i for i in matched if sigs[i] not in f], dtype=np.int64)
-        train_sets.append(tr)
-        test_sets.append(te)
-    test_sets, extras = _assign_unmatched_tests(test_sets, unmatched, k, seed)
-    train_sets = _admit_unmatched(train_sets, unmatched, extras, lambda_rate, seed)
-    plan = FoldPlan("by_signature", k, list(zip(train_sets, test_sets)), lambda_rate, seed)
-    plan.sig_folds = sig_folds
+    col = {sig: j for j, sig in enumerate(distinct)}
+    units = _indicator(matched, [col[sigs[i]] for i in matched], (ds.n_samples, len(distinct)))
+    plan, groups = _hold_out(ds, "by_signature", units, "distinct nonempty signatures",
+                             k, lambda_rate, seed)
+    plan.sig_folds = [{distinct[j] for j in g} for g in groups]
     return plan
 
 

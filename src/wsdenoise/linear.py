@@ -7,9 +7,8 @@ The objective is weighted cross-entropy plus an L2 penalty:
 
 Weights are initialized to zero (the objective is convex, so initialization
 is immaterial and this removes a randomness source).  Shuffling is keyed by
-(seed, epoch); early stopping tracks mean loss on the validation set when
-given, otherwise on the training set, and the parameters from the best epoch
-are returned.
+(seed, epoch); early stopping tracks the weighted mean loss on the training
+set, and the parameters from the best epoch are returned.
 """
 
 from __future__ import annotations
@@ -79,12 +78,12 @@ def _mean_loss(weights, bias, x, y, sample_weights, l2):
 
 
 def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = None,
-          val=None, num_classes: int | None = None) -> Model:
+          num_classes: int | None = None) -> Model:
     """Fit by mini-batch SGD and return the best-epoch parameters.
 
-    ``val`` is an optional ``(features, labels)`` pair used for early
-    stopping.  Per-batch gradients are normalized by the batch weight sum, so
-    uniformly scaling all sample weights leaves the trajectory unchanged and
+    Early stopping watches the weighted mean training loss after each epoch.
+    Per-batch gradients are normalized by the batch weight sum, so uniformly
+    scaling all sample weights leaves the trajectory unchanged and
     zero-weight samples are inert.
     """
     cfg = cfg or ClassifierConfig()
@@ -109,10 +108,6 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     bad_epochs = 0
     log: list[float] = []
 
-    if val is not None:
-        val_x, val_y = val[0], as_labels(val[1])
-        val_w = np.ones(len(val_y))
-
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
         perm = rng.permutation(n)
@@ -126,10 +121,7 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
                 raise RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
             w = w - cfg.learning_rate * gw
             b = b - cfg.learning_rate * gb
-        if val is not None:
-            epoch_loss = _mean_loss(w, b, val_x, val_y, val_w, cfg.l2)
-        else:
-            epoch_loss = _mean_loss(w, b, features, y, sw, cfg.l2)
+        epoch_loss = _mean_loss(w, b, features, y, sw, cfg.l2)
         if not np.isfinite(epoch_loss):
             raise RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
         log.append(epoch_loss)

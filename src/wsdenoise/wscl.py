@@ -57,9 +57,8 @@ def class_confident_joint(noisy, conf, num_classes: int | None = None) -> ClassC
     else:
         k = int(max(y.max(), yc.max()) + 1) if len(y) else 0
     c = np.zeros((k, k), dtype=np.int64)
-    for a, b in zip(y, yc):
-        if b != NO_LABEL:
-            c[a, b] += 1
+    sel = yc != NO_LABEL
+    np.add.at(c, (y[sel], yc[sel]), 1)
     return ClassConfidentJoint(c)
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.crossval import (
+    STRATEGIES,
+    build_plan,
     estimate_oos,
     plan_by_lf,
     plan_by_signature,
@@ -170,6 +175,57 @@ class TestPlanBySignature:
                     sig = sigs[i]
                     assert fold_of.setdefault(sig, fi) == fi
             assert sorted(test_all) == sorted(np.flatnonzero(ds.matched_mask).tolist())
+
+
+class TestPlanProperties:
+    """The hold-out rule on arbitrary Z, for every strategy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z=arrays(np.int8, st.tuples(st.integers(1, 30), st.integers(1, 6)),
+                 elements=st.integers(0, 1)),
+        strategy=st.sampled_from(STRATEGIES),
+        k=st.integers(2, 5),
+        lambda_rate=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_hold_out_rule(self, z, strategy, k, lambda_rate, seed):
+        ds = make_dataset(z, np.ones((z.shape[1], 2)))
+        try:
+            plan = build_plan(ds, strategy, k, lambda_rate, seed)
+        except ValueError as exc:
+            assert "exceeds the number of" in str(exc) or "has an empty" in str(exc)
+            return
+        assert len(plan.folds) == k
+        matched = ds.matched_mask
+        sigs = ds.signatures()
+        test_count = np.zeros(ds.n_samples, dtype=np.int64)
+        for f, (tr, te) in enumerate(plan.folds):
+            assert tr.dtype == te.dtype == np.int64
+            assert len(np.intersect1d(tr, te)) == 0
+            assert (np.diff(tr) > 0).all() and (np.diff(te) > 0).all()
+            in_test = np.isin(np.arange(ds.n_samples), te)
+            in_train = np.isin(np.arange(ds.n_samples), tr)
+            test_count[te] += 1
+            if strategy == "by_lf":
+                held = np.isin(np.arange(ds.n_lfs), plan.lf_folds[f])
+                touches = [bool(held[list(s)].any()) for s in sigs]
+            elif strategy == "by_signature":
+                touches = [s in plan.sig_folds[f] for s in sigs]
+            else:
+                touches = in_test
+            # a matched sample is tested iff it touches a held-out unit,
+            # and trains in exactly the folds where it touches none
+            np.testing.assert_array_equal(in_test[matched], np.asarray(touches)[matched])
+            np.testing.assert_array_equal(in_train[matched], ~in_test[matched])
+            admitted = int((in_train & ~matched).sum())
+            if lambda_rate == 0:
+                assert admitted == 0
+            else:
+                assert admitted <= int(matched[tr].sum() // lambda_rate)
+        assert (test_count[~matched] == 1).all()
+        if strategy != "by_lf":
+            assert (test_count[matched] == 1).all()
 
 
 class TestEstimateOos:

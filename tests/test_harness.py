@@ -379,6 +379,29 @@ class TestCli:
         assert not (out / "fold_audit.tsv").exists()
         assert (out / "grid_0000").is_dir() and (out / "grid_results.json").read_text() == "{}"
 
+    @pytest.mark.parametrize("key", ["repeats", "k", "seed"])
+    def test_none_rejected_for_non_optional_field(self, key):
+        with pytest.raises(ValueError, match=f"--{key}.*'none'"):
+            cli.main(["baseline", f"--{key}", "none"])
+
+    def test_none_rejected_in_grid_axis(self):
+        with pytest.raises(ValueError, match="--k.*'none'"):
+            cli.main(["grid", "--k", "3,none"])
+
+    def test_none_rejected_for_synth_field(self, tmp_path):
+        with pytest.raises(ValueError, match="--n_samples.*'none'"):
+            cli.main(["synth", "--n_samples", "none", "--out_dir", str(tmp_path)])
+
+    def test_types_follow_annotations(self):
+        cfg = cli._build_run_config({"k": "3", "lr": "0.5", "dump_folds": "yes",
+                                     "out_dir": "none", "max_features": "none",
+                                     "gold_path": ""}, "ulf")
+        assert (cfg.k, cfg.lr, cfg.dump_folds) == (3, 0.5, True)
+        assert cfg.out_dir == "none"
+        assert cfg.max_features is None and cfg.gold_path is None
+        with pytest.raises(ValueError, match="--lr.*'fast'"):
+            cli._build_run_config({"lr": "fast"}, "ulf")
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):
             cli.main(["baseline", "--bogus", "1"])
