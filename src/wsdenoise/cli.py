@@ -70,6 +70,8 @@ def _field_types(cls) -> dict:
 
 _RUN_TYPES = _field_types(RunConfig)
 _SYNTH_TYPES = _field_types(SynthConfig)
+# verb options that are not config fields; a budget of none means no limit
+_VERB_TYPES = {"budget": (int, True), "stats_repeats": (int, False)}
 
 
 def _coerce(key: str, value: str, types: dict):
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
         return _cmd_synth(values)
 
     if ns.verb == "stats":
-        repeats = int(values.pop("stats_repeats", 5))
+        repeats = _coerce("stats_repeats", values.pop("stats_repeats", "5"), _VERB_TYPES)
         cfg = _build_run_config(values, "baseline_majority")
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
         print(json.dumps(stats_report(ds, repeats=repeats, seed=cfg.seed),
@@ -168,8 +170,7 @@ def main(argv=None) -> int:
         return 0
 
     if ns.verb == "grid":
-        budget = values.pop("budget", None)
-        budget = int(budget) if budget is not None else None
+        budget = _coerce("budget", values.pop("budget", "none"), _VERB_TYPES)
         method = values.pop("method", "ulf")
         scalars, space = _build_grid(values)
         base = _build_run_config(scalars, method)

@@ -296,7 +296,9 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
     Evaluation source, in order of preference: final-classifier predictions
     on the test split; otherwise corrected labels against training gold.
     When a dev split is provided, the repeat with the best dev score supplies
-    the written label/model artifacts; otherwise the last repeat does.
+    the written label/model artifacts; otherwise the last repeat does.  A
+    repeat that raises is recorded in ``failures`` with its exception type
+    and skipped; the run raises only when every repeat fails.
     """
     start = time.monotonic()
     if ds is None:
@@ -316,8 +318,8 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
     for r, seed in enumerate(seeds):
         try:
             result = _execute_repeat(ds, cfg, seed)
-        except (RuntimeError, ValueError) as exc:
-            failures.append(f"repeat {r}: {exc}")
+        except Exception as exc:  # a failed repeat is recorded; KeyboardInterrupt stops
+            failures.append(f"repeat {r}: {type(exc).__name__}: {exc}")
             continue
         if test is not None:
             value = evaluate(result.final_model.predict(test[0]), test[1], cfg.metric)
@@ -381,8 +383,9 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
                       out_dir=os.path.join(base.out_dir, f"grid_{idx:04d}"))
         try:
             report = run(cfg, ds=ds)
-        except (RuntimeError, ValueError) as exc:
-            results.append({"grid_index": idx, "params": points[idx], "error": str(exc),
+        except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops
+            results.append({"grid_index": idx, "params": points[idx],
+                            "error": f"{type(exc).__name__}: {exc}",
                             "dev_mean": None, "test_mean": None})
             continue
         score = report.dev_mean

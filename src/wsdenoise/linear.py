@@ -9,6 +9,18 @@ Weights are initialized to zero (the objective is convex, so initialization
 is immaterial and this removes a randomness source).  Shuffling is keyed by
 (seed, epoch); early stopping tracks the weighted mean loss on the training
 set, and the parameters from the best epoch are returned.
+
+One batch builds no scipy object.  ``train`` converts the features once to a
+float64 CSR array and gathers each epoch's shuffled rows once.  A batch is
+the slice ``indptr[start:stop + 1]`` of that gather: its offsets are
+absolute, so it shares the ``indices`` and ``data`` arrays uncopied.  Its
+logits come from ``csr_matvecs``, and its weight gradient from
+``csc_matvecs`` on the same arrays, read as the CSC form of the transpose.
+These are the kernels that ``x[idx] @ w`` and ``x[idx].T @ g`` call, so every
+sum runs in the same order as with those expressions.  The kernels are
+imported from the private ``scipy.sparse._sparsetools`` because the public
+operators spend most of a small batch's time building and checking objects;
+``tests/test_linear.py`` pins them against ``@``.
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from wsdenoise.corpus import as_labels
 
@@ -51,21 +65,49 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - lse
 
 
-def loss_and_grad(weights, bias, x, y, sample_weights, l2):
-    """Weighted cross-entropy loss with L2 penalty, plus analytic gradients."""
-    n = x.shape[0]
-    logits = x @ weights + bias
+def loss_and_grad(weights, bias, indptr, indices, data, y, sample_weights, l2):
+    """Weighted cross-entropy loss with L2 penalty, plus analytic gradients.
+
+    The batch is the CSR row block ``indptr`` (one more entry than rows,
+    absolute offsets into ``indices`` and ``data``); ``y`` and
+    ``sample_weights`` hold one entry per row.
+    """
+    n = len(indptr) - 1
+    v, k = weights.shape
+    logits = np.zeros((n, k))
+    csr_matvecs(n, v, k, indptr, indices, data, weights.ravel(), logits.ravel())
+    logits += bias
     logp = _log_softmax(logits)
+    rows = np.arange(n)
     wsum = sample_weights.sum()
-    loss = -(sample_weights * logp[np.arange(n), y]).sum() / wsum
+    loss = -(sample_weights * logp[rows, y]).sum() / wsum
     loss += l2 * (weights ** 2).sum()
 
     g = np.exp(logp)
-    g[np.arange(n), y] -= 1.0
+    g[rows, y] -= 1.0
     g *= (sample_weights / wsum)[:, None]
-    gw = x.T @ g + 2.0 * l2 * weights
+    gw = np.zeros((v, k))
+    csc_matvecs(v, n, k, indptr, indices, data, g.ravel(), gw.ravel())
+    gw += 2.0 * l2 * weights
     gb = g.sum(axis=0)
     return loss, gw, gb
+
+
+def _sgd_epoch(w, b, x, y, sw, cfg: ClassifierConfig, epoch: int):
+    """One pass of mini-batch steps over rows already in shuffled order."""
+    indptr, indices, data = x.indptr, x.indices, x.data
+    for start in range(0, len(y), cfg.batch_size):
+        stop = min(start + cfg.batch_size, len(y))
+        bw = sw[start:stop]
+        if bw.sum() == 0:
+            continue
+        loss, gw, gb = loss_and_grad(w, b, indptr[start:stop + 1], indices, data,
+                                     y[start:stop], bw, cfg.l2)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
+        w = w - cfg.learning_rate * gw
+        b = b - cfg.learning_rate * gb
+    return w, b
 
 
 def _mean_loss(weights, bias, x, y, sample_weights, l2):
@@ -87,8 +129,9 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     zero-weight samples are inert.
     """
     cfg = cfg or ClassifierConfig()
+    x = sp.csr_array(features, dtype=np.float64)
     y = as_labels(labels)
-    n = features.shape[0]
+    n = x.shape[0]
     if len(y) != n:
         raise ValueError("feature and label lengths disagree")
     k = int(num_classes if num_classes is not None else y.max() + 1)
@@ -96,12 +139,14 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
         sw = np.ones(n)
     else:
         sw = np.asarray(sample_weights, dtype=float)
+        if sw.shape != (n,):
+            raise ValueError(f"{sw.size} sample weights for {n} feature rows")
         if (sw < 0).any():
             raise ValueError("sample weights must be nonnegative")
         if sw.sum() == 0:
             raise ValueError("sample weights must not all be zero")
 
-    w = np.zeros((features.shape[1], k))
+    w = np.zeros((x.shape[1], k))
     b = np.zeros(k)
     best_loss = np.inf
     best_w, best_b = w.copy(), b.copy()
@@ -109,19 +154,9 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     log: list[float] = []
 
     for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            bw = sw[idx]
-            if bw.sum() == 0:
-                continue
-            loss, gw, gb = loss_and_grad(w, b, features[idx], y[idx], bw, cfg.l2)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
-            w = w - cfg.learning_rate * gw
-            b = b - cfg.learning_rate * gb
-        epoch_loss = _mean_loss(w, b, features, y, sw, cfg.l2)
+        perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+        w, b = _sgd_epoch(w, b, x[perm], y[perm], sw[perm], cfg, epoch)
+        epoch_loss = _mean_loss(w, b, x, y, sw, cfg.l2)
         if not np.isfinite(epoch_loss):
             raise RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
         log.append(epoch_loss)

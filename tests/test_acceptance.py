@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wsdenoise import cli
 from wsdenoise.confidence import NO_LABEL, class_thresholds, confident_labels
@@ -124,9 +125,11 @@ class TestAcceptance:
             y = rng.integers(k, size=n)
             sw = rng.uniform(0.1, 2.0, size=n)
             l2 = float(rng.uniform(0.0, 0.3))
+            batch = sp.csr_array(x)
+            csr = (batch.indptr, batch.indices, batch.data)  # as loss_and_grad takes it
             w = rng.normal(scale=0.5, size=(d, k))
             b = rng.normal(scale=0.5, size=k)
-            _, gw, gb = loss_and_grad(w, b, x, y, sw, l2)
+            _, gw, gb = loss_and_grad(w, b, *csr, y, sw, l2)
 
             num_w = np.zeros_like(w)
             for a in range(d):
@@ -134,16 +137,16 @@ class TestAcceptance:
                     wp, wm = w.copy(), w.copy()
                     wp[a, c] += eps
                     wm[a, c] -= eps
-                    lp, _, _ = loss_and_grad(wp, b, x, y, sw, l2)
-                    lm, _, _ = loss_and_grad(wm, b, x, y, sw, l2)
+                    lp, _, _ = loss_and_grad(wp, b, *csr, y, sw, l2)
+                    lm, _, _ = loss_and_grad(wm, b, *csr, y, sw, l2)
                     num_w[a, c] = (lp - lm) / (2 * eps)
             num_b = np.zeros_like(b)
             for c in range(k):
                 bp, bm = b.copy(), b.copy()
                 bp[c] += eps
                 bm[c] -= eps
-                lp, _, _ = loss_and_grad(w, bp, x, y, sw, l2)
-                lm, _, _ = loss_and_grad(w, bm, x, y, sw, l2)
+                lp, _, _ = loss_and_grad(w, bp, *csr, y, sw, l2)
+                lm, _, _ = loss_and_grad(w, bm, *csr, y, sw, l2)
                 num_b[c] = (lp - lm) / (2 * eps)
 
             num = np.concatenate([num_w.ravel(), num_b.ravel()])

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from wsdenoise import cli
+from wsdenoise import cli, harness
 from wsdenoise.corpus import save_dataset
 from wsdenoise.harness import (
     MetricsReport,
@@ -187,6 +187,34 @@ class TestRun:
         sums = np.array([sum(float(v) for v in r[3:]) for r in rows])
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
+    def _flaky_repeats(self, monkeypatch, exc):
+        """Make the first repeat raise ``exc``; later repeats run for real."""
+        real, calls = harness._execute_repeat, []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise exc
+            return real(*args)
+        monkeypatch.setattr(harness, "_execute_repeat", flaky)
+
+    def test_any_exception_in_a_repeat_is_recorded(self, tmp_path, monkeypatch):
+        ds, _ = generate(SynthConfig(n_samples=200, seed=21, coverage_target=0.8))
+        self._flaky_repeats(monkeypatch, KeyError("boom"))
+        cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
+                        **self._fast(repeats=3))
+        report = run(cfg, ds=ds)
+        assert len(report.values) == 2 and report.partial
+        assert report.failures == ["repeat 0: KeyError: 'boom'"]
+
+    def test_keyboard_interrupt_stops_the_run(self, tmp_path, monkeypatch):
+        ds, _ = generate(SynthConfig(n_samples=200, seed=21, coverage_target=0.8))
+        self._flaky_repeats(monkeypatch, KeyboardInterrupt())
+        cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
+                        **self._fast(repeats=3))
+        with pytest.raises(KeyboardInterrupt):
+            run(cfg, ds=ds)
+
 
 class TestGridSearch:
     def _setup(self, tmp_path, n=200):
@@ -248,6 +276,30 @@ class TestGridSearch:
         written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
         assert written["best_index"] is None
         assert [r["dev_mean"] for r in written["results"]] == [None, None]
+
+    def _failing_point(self, monkeypatch, k, exc):
+        """Make the grid point with ``k`` raise ``exc``; other points run for real."""
+        real = harness.run
+
+        def run_or_raise(cfg, ds=None):
+            if cfg.k == k:
+                raise exc
+            return real(cfg, ds=ds)
+        monkeypatch.setattr(harness, "run", run_or_raise)
+
+    def test_any_exception_at_a_point_is_recorded(self, tmp_path, monkeypatch):
+        ds, base = self._setup(tmp_path)
+        self._failing_point(monkeypatch, 4, ZeroDivisionError("division by zero"))
+        best, results = grid_search(base, {"k": [4, 3]}, ds=ds)
+        assert best.k == 3
+        assert results[0]["error"] == "ZeroDivisionError: division by zero"
+        assert results[1]["dev_mean"] is not None
+
+    def test_keyboard_interrupt_stops_the_sweep(self, tmp_path, monkeypatch):
+        ds, base = self._setup(tmp_path)
+        self._failing_point(monkeypatch, 4, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            grid_search(base, {"k": [4, 3]}, ds=ds)
 
 
 class TestStatsReport:
@@ -391,6 +443,27 @@ class TestCli:
     def test_none_rejected_for_synth_field(self, tmp_path):
         with pytest.raises(ValueError, match="--n_samples.*'none'"):
             cli.main(["synth", "--n_samples", "none", "--out_dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("raw, budget", [("none", None), ("", None), ("1", 1)])
+    def test_budget_none_means_no_limit(self, monkeypatch, raw, budget):
+        seen = {}
+
+        def fake_grid_search(base, space, budget=None):
+            seen["budget"] = budget
+            return base, []
+        monkeypatch.setattr(cli, "grid_search", fake_grid_search)
+        assert cli.main(["grid", "--budget", raw, "--p", "0.1,0.5",
+                         "--dev_doc_path", "d", "--dev_gold_path", "g"]) == 0
+        assert seen == {"budget": budget}
+
+    @pytest.mark.parametrize("argv, key, raw", [
+        (["grid", "--budget", "two", "--p", "0.1,0.5"], "budget", "two"),
+        (["stats", "--stats_repeats", "none"], "stats_repeats", "none"),
+        (["stats", "--stats_repeats", "2.5"], "stats_repeats", "2.5"),
+    ])
+    def test_bad_verb_option_names_its_key(self, argv, key, raw):
+        with pytest.raises(ValueError, match=f"--{key}: expected int, got {raw!r}"):
+            cli.main(argv)
 
     def test_types_follow_annotations(self):
         cfg = cli._build_run_config({"k": "3", "lr": "0.5", "dump_folds": "yes",

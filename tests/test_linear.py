@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from wsdenoise.linear import (
     ClassifierConfig,
@@ -16,6 +18,12 @@ def toy_separable():
     return x, y
 
 
+def batch_loss_and_grad(weights, bias, x, y, sw, l2):
+    """``loss_and_grad`` on a dense batch, passed as its CSR arrays."""
+    c = sp.csr_array(x)
+    return loss_and_grad(weights, bias, c.indptr, c.indices, c.data, y, sw, l2)
+
+
 def numeric_grad(weights, bias, x, y, sw, l2, step=1e-5):
     gw = np.zeros_like(weights)
     gb = np.zeros_like(bias)
@@ -23,15 +31,15 @@ def numeric_grad(weights, bias, x, y, sw, l2, step=1e-5):
         wp, wm = weights.copy(), weights.copy()
         wp[idx] += step
         wm[idx] -= step
-        lp, _, _ = loss_and_grad(wp, bias, x, y, sw, l2)
-        lm, _, _ = loss_and_grad(wm, bias, x, y, sw, l2)
+        lp, _, _ = batch_loss_and_grad(wp, bias, x, y, sw, l2)
+        lm, _, _ = batch_loss_and_grad(wm, bias, x, y, sw, l2)
         gw[idx] = (lp - lm) / (2 * step)
     for idx in range(len(bias)):
         bp, bm = bias.copy(), bias.copy()
         bp[idx] += step
         bm[idx] -= step
-        lp, _, _ = loss_and_grad(weights, bp, x, y, sw, l2)
-        lm, _, _ = loss_and_grad(weights, bm, x, y, sw, l2)
+        lp, _, _ = batch_loss_and_grad(weights, bp, x, y, sw, l2)
+        lm, _, _ = batch_loss_and_grad(weights, bm, x, y, sw, l2)
         gb[idx] = (lp - lm) / (2 * step)
     return gw, gb
 
@@ -48,10 +56,44 @@ class TestGradient:
             l2 = float(rng.uniform(0, 0.1))
             w = rng.normal(scale=0.5, size=(v, k))
             b = rng.normal(scale=0.5, size=k)
-            _, gw, gb = loss_and_grad(w, b, x, y, sw, l2)
+            _, gw, gb = batch_loss_and_grad(w, b, x, y, sw, l2)
             ngw, ngb = numeric_grad(w, b, x, y, sw, l2)
             assert np.abs(gw - ngw).max() / max(np.abs(ngw).max(), 1e-8) < 1e-4
             assert np.abs(gb - ngb).max() / max(np.abs(ngb).max(), 1e-8) < 1e-4
+
+
+class TestSparseKernels:
+    """``train`` calls scipy's private CSR kernels directly: pin them to ``@``.
+
+    If a scipy release moves these kernels or changes their summation order,
+    this fails here by name instead of letting fitted models drift silently.
+    """
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_row_block_matches_matmul(self, rng, index_dtype, k):
+        n, v = 40, 17
+        dense = rng.normal(size=(n, v)) * (rng.random((n, v)) < 0.3)
+        dense[[0, 5, 6, 7, 39]] = 0.0  # empty rows, including a run of them
+        c = sp.csr_array(dense)
+        x = sp.csr_array((c.data, c.indices.astype(index_dtype),
+                          c.indptr.astype(index_dtype)), shape=c.shape)
+        for a, b in [(0, n), (3, 11), (5, 8), (8, 9), (20, 40), (12, 12)]:
+            block = x[a:b]
+            w = rng.normal(size=(v, k))
+            logits = np.zeros((b - a, k))
+            csr_matvecs(b - a, v, k, x.indptr[a:b + 1], x.indices, x.data,
+                        w.ravel(), logits.ravel())
+            assert np.array_equal(logits, block @ w), (
+                f"csr_matvecs on rows {a}:{b} differs from x[a:b] @ w: scipy's "
+                "kernel changed, so linear.train no longer matches x @ w")
+            g = rng.normal(size=(b - a, k))
+            grad = np.zeros((v, k))
+            csc_matvecs(v, b - a, k, x.indptr[a:b + 1], x.indices, x.data,
+                        g.ravel(), grad.ravel())
+            assert np.array_equal(grad, block.T @ g), (
+                f"csc_matvecs on rows {a}:{b} differs from x[a:b].T @ g: scipy's "
+                "kernel changed, so linear.train no longer matches x.T @ g")
 
 
 class TestTrain:
@@ -78,6 +120,12 @@ class TestTrain:
         m2 = train(x, y_flipped, sample_weights=w, cfg=cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
+
+    @pytest.mark.parametrize("count", [3, 7])
+    def test_sample_weight_count_must_match_rows(self, count):
+        x, y = toy_separable()
+        with pytest.raises(ValueError, match=f"{count} sample weights for 4 feature rows"):
+            train(x, y, sample_weights=np.ones(count))
 
     def test_determinism(self, rng):
         x = rng.normal(size=(40, 6))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsdenoise.confidence import NO_LABEL
 from wsdenoise.corpus import LabelVector, majority_vote
@@ -145,6 +148,42 @@ class TestPrune:
                     pruned[cand[order[:take]]] = True
             assert int((~mask.keep).sum()) == total
             np.testing.assert_array_equal(mask.keep, ~pruned)
+
+
+@st.composite
+def prune_inputs(draw):
+    """Noisy labels, probabilities and a joint estimate q of matching shapes."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 4))
+    noisy = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    probs = draw(arrays(np.float64, (n, k), elements=st.floats(0, 1)))
+    # zeros, budgets on or next to a half-way point (m + 0.5) / n, and budgets
+    # past the class size
+    cell = st.one_of(st.just(0.0), st.floats(0, 1.5),
+                     st.integers(0, 2 * n).map(lambda m: (m + 0.5) / n))
+    q = draw(arrays(np.float64, (k, k), elements=cell))
+    return noisy, probs, q
+
+
+class TestPruneProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(prune_inputs())
+    def test_budget_accounting(self, inputs):
+        noisy, probs, q = inputs
+        n, k = len(noisy), q.shape[0]
+        mask = prune(q, probs, noisy)
+        budget = np.floor(n * q + 0.5).astype(np.int64)
+        off = ~np.eye(k, dtype=bool)
+        asked = off & (budget > 0)
+        np.testing.assert_array_equal((mask.pruned_counts + mask.shortfall)[asked],
+                                      budget[asked])
+        assert not mask.pruned_counts[~asked].any() and not mask.shortfall[~asked].any()
+        assert (mask.pruned_counts >= 0).all() and (mask.shortfall >= 0).all()
+        pruned = ~mask.keep
+        assert mask.keep.sum() == n - mask.pruned_counts.sum()
+        # each pruned sample is counted once, in the row of its noisy label
+        np.testing.assert_array_equal(mask.pruned_counts.sum(axis=1),
+                                      np.bincount(noisy[pruned], minlength=k))
 
 
 class TestRunWscl:
