@@ -27,10 +27,6 @@ class Thresholds:
 class ConfidentLabels:
     labels: np.ndarray   # length N; class id, or NO_LABEL where no threshold is met
 
-    @property
-    def has_label(self) -> np.ndarray:
-        return self.labels != NO_LABEL
-
 
 def as_probs(probs) -> np.ndarray:
     """N x K probability array from an ``OOSProbs`` or an array."""

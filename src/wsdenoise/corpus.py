@@ -18,10 +18,12 @@ alongside run outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from wsdenoise.featurize import TermCounts, count_terms
 from wsdenoise.seeding import derive_seed
 
 
@@ -77,6 +79,11 @@ class WeakDataset:
     @property
     def matched_mask(self) -> np.ndarray:
         return self.lf_hits > 0
+
+    @cached_property
+    def term_counts(self) -> TermCounts:
+        """Document-by-term counts, tokenized once, the first time they are asked for."""
+        return count_terms(self.texts)
 
     def signatures(self) -> list[tuple[int, ...]]:
         """Per sample, the sorted LF indices it matched (may be empty)."""

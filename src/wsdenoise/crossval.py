@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
-from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, transform
+from wsdenoise.featurize import FeaturizeConfig, fold_features
 from wsdenoise.linear import ClassifierConfig, predict_proba, train
 from wsdenoise.seeding import derive_seed
 
@@ -142,8 +142,9 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     """Train one model per fold and collect out-of-sample probabilities.
 
     For each fold the vocabulary is refitted on the training documents only
-    (no feature leakage from test documents).  Samples tested by several
-    folds get the arithmetic mean of their probability rows.
+    (no feature leakage from test documents); the features are cut from the
+    dataset's count matrix, so no document is tokenized twice.  Samples
+    tested by several folds get the arithmetic mean of their probability rows.
 
     ``fold_predict(ds, train_idx, label_array, test_idx) -> (n_test, K)``
     replaces the default TF-IDF + logistic-regression fold model; used by
@@ -160,10 +161,7 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
             if fold_predict is not None:
                 p = fold_predict(ds, tr, y, te)
             else:
-                train_texts = [ds.texts[i] for i in tr]
-                vocab = fit_vocabulary(train_texts, feat_cfg)
-                x_tr = transform(train_texts, vocab)
-                x_te = transform([ds.texts[i] for i in te], vocab)
+                x_tr, x_te = fold_features(ds.term_counts, tr, te, feat_cfg)
                 fold_cfg = replace(clf_cfg, seed=derive_seed(clf_cfg.seed, fi))
                 model = train(x_tr, y[tr], cfg=fold_cfg, num_classes=k_classes)
                 p = predict_proba(model, x_te)

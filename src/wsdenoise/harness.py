@@ -174,8 +174,9 @@ def _load_split(doc_path, gold_path, num_classes):
 # single repeat
 
 
-def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int) -> DenoiseResult:
-    """Run one repeat of the configured method."""
+def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
+                    train_final: bool) -> DenoiseResult:
+    """Run one repeat of the configured method; ``train_final`` asks for the final model."""
     strategy = STRATEGY_ALIASES[cfg.strategy]
     feat = cfg.featurize_config()
     clf = cfg.classifier_config(seed)
@@ -183,10 +184,10 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int) -> DenoiseResult
         return run_ulf(ds, UlfConfig(p=cfg.p, k=cfg.k, strategy=strategy,
                                      lambda_rate=cfg.lambda_rate, max_iters=cfg.iters,
                                      stall_patience=cfg.stall_patience, seed=seed,
-                                     clf=clf, feat=feat))
+                                     clf=clf, feat=feat), train_final=train_final)
     if cfg.method == "wscl":
         return run_wscl(ds, WsclConfig(k=cfg.k, strategy=strategy, lambda_rate=cfg.lambda_rate,
-                                       seed=seed, clf=clf, feat=feat))
+                                       seed=seed, clf=clf, feat=feat), train_final=train_final)
     labels = majority_vote(ds, ds.t, seed)
     result = DenoiseResult(final_labels=labels, refined_t=np.asarray(ds.t, dtype=float))
     if cfg.method == "wscw":
@@ -196,8 +197,8 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int) -> DenoiseResult
         result.sample_weights, result.final_model = run_wscw(
             ds, WscwConfig(k=cfg.k, partitions=cfg.partitions, epsilon=cfg.epsilon,
                            seed=seed, clf=clf, feat=feat),
-            collect_audit=_collect, noisy=labels)
-    else:
+            train_final=train_final, collect_audit=_collect, noisy=labels)
+    elif train_final:
         result.final_model = train_text_model(ds.texts, labels.labels, ds.num_classes,
                                               feat_cfg=feat, clf_cfg=clf)
     return result
@@ -295,9 +296,10 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
 
     Evaluation source, in order of preference: final-classifier predictions
     on the test split; otherwise corrected labels against training gold.
-    When a dev split is provided, the repeat with the best dev score supplies
-    the written label/model artifacts; otherwise the last repeat does.  A
-    repeat that raises is recorded in ``failures`` with its exception type
+    The final classifier is trained only when a dev or test split needs its
+    predictions.  When a dev split is provided, the repeat with the best dev
+    score supplies the written artifacts; otherwise the last repeat does.
+    A repeat that raises is recorded in ``failures`` with its exception type
     and skipped; the run raises only when every repeat fails.
     """
     start = time.monotonic()
@@ -311,13 +313,14 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
     if test is None and ds.gold is None:
         raise ValueError("no evaluation target: provide a test split or training gold")
     _clear_artifacts(cfg.out_dir)
+    train_final = dev is not None or test is not None  # only held-out splits use the model
 
     values, dev_values, failures = [], [], []
     outcomes = []
     seeds = [derive_seed(cfg.seed, 800, r) for r in range(cfg.repeats)]
     for r, seed in enumerate(seeds):
         try:
-            result = _execute_repeat(ds, cfg, seed)
+            result = _execute_repeat(ds, cfg, seed, train_final)
         except Exception as exc:  # a failed repeat is recorded; KeyboardInterrupt stops
             failures.append(f"repeat {r}: {type(exc).__name__}: {exc}")
             continue

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from wsdenoise.corpus import WeakDataset
 
 
-def make_dataset(z, t, texts=None, gold=None, num_classes=None):
+def make_dataset(z, t, texts=None, gold=None, num_classes=None, ids=None):
     """Build a WeakDataset from dense arrays for tests."""
     z = np.asarray(z, dtype=np.int8)
     t = np.asarray(t, dtype=float)
@@ -15,7 +15,7 @@ def make_dataset(z, t, texts=None, gold=None, num_classes=None):
         texts = [f"doc {i}" for i in range(n)]
     return WeakDataset(
         texts=list(texts),
-        ids=[str(i) for i in range(n)],
+        ids=[str(i) for i in range(n)] if ids is None else list(ids),
         z=sp.csr_array(z),
         t=t,
         num_classes=k,

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wsdenoise.corpus import (
     dataset_stats,
@@ -92,6 +98,47 @@ class TestLoadDataset:
         save_dataset(load_dataset(*out), *out2)
         for a, b in zip(out, out2):
             assert a.read_bytes() == b.read_bytes()
+
+
+# what one TSV field can hold: no tab, nothing str.splitlines breaks on, no
+# lone surrogate (not encodable as UTF-8)
+_FIELD = st.text(st.characters(exclude_categories=("Cs",),
+                               exclude_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                 max_size=20)
+
+
+@st.composite
+def tsv_datasets(draw):
+    n = draw(st.integers(1, 12))
+    n_lfs = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    t = np.zeros((n_lfs, k))
+    t[np.arange(n_lfs), draw(arrays(np.int64, n_lfs, elements=st.integers(0, k - 1)))] = 1.0
+    gold = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return make_dataset(draw(arrays(np.int8, (n, n_lfs), elements=st.integers(0, 1))), t,
+                        texts=draw(st.lists(_FIELD, min_size=n, max_size=n)), gold=gold,
+                        ids=draw(st.lists(_FIELD, min_size=n, max_size=n, unique=True)))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(tsv_datasets())
+    def test_save_then_load_returns_the_dataset(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, n) for n in ("docs.tsv", "z.tsv", "t.tsv", "gold.tsv")]
+            if ds.gold is None:
+                paths[3] = None
+            save_dataset(ds, *paths)
+            back = load_dataset(*paths)
+        assert back.ids == ds.ids
+        assert back.texts == ds.texts
+        np.testing.assert_array_equal(back.z.toarray(), ds.z.toarray())
+        np.testing.assert_array_equal(back.t, ds.t)
+        assert back.num_classes == ds.num_classes
+        if ds.gold is None:
+            assert back.gold is None
+        else:
+            np.testing.assert_array_equal(back.gold, ds.gold)
 
 
 class TestMajorityVote:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from wsdenoise import cli, harness
+from wsdenoise import cli, harness, pipeline, ulf, wscl, wscw
 from wsdenoise.corpus import save_dataset
 from wsdenoise.harness import (
     MetricsReport,
@@ -186,6 +186,30 @@ class TestRun:
         assert all(int(r[2]) >= 1 for r in rows)
         sums = np.array([sum(float(v) for v in r[3:]) for r in rows])
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["baseline_majority", "ulf", "wscw", "wscl"])
+    def test_final_model_trained_only_for_a_held_out_split(self, tmp_path, monkeypatch,
+                                                           method):
+        ds, _ = generate(SynthConfig(n_samples=150, seed=29, coverage_target=0.8))
+        real, calls = pipeline.train_text_model, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        for module in (harness, ulf, wscl, wscw):
+            monkeypatch.setattr(module, "train_text_model", counting)
+        fast = self._fast(repeats=2)
+        run(RunConfig(method=method, out_dir=str(tmp_path / "gold"), partitions=1, **fast),
+            ds=ds)
+        assert calls == []  # training gold alone never needs the model
+        (tmp_path / "docs.tsv").write_text("".join(f"h{i}\t{t}\n"
+                                                   for i, t in enumerate(ds.texts[:30])))
+        (tmp_path / "gold.tsv").write_text("".join(f"h{i}\t{g}\n"
+                                                   for i, g in enumerate(ds.gold[:30])))
+        run(RunConfig(method=method, out_dir=str(tmp_path / "test"), partitions=1,
+                      test_doc_path=str(tmp_path / "docs.tsv"),
+                      test_gold_path=str(tmp_path / "gold.tsv"), **fast), ds=ds)
+        assert len(calls) == 2  # one per repeat
 
     def _flaky_repeats(self, monkeypatch, exc):
         """Make the first repeat raise ``exc``; later repeats run for real."""
