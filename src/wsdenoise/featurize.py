@@ -8,10 +8,11 @@ documents with no in-vocabulary tokens).
 Every document is tokenized once.  ``count_terms`` turns a corpus into a
 ``TermCounts``: an N x T matrix of term counts whose columns are the sorted
 distinct terms.  A dataset builds that matrix the first time
-cross-validation needs it, and ``fold_features`` cuts each fold's features
-from row slices of it: the fold's vocabulary comes from the document
-frequencies of its training rows, and the kept columns are scaled by idf
-and L2-normalized row by row.  ``fit_vocabulary`` and ``transform`` run the
+cross-validation needs it, and ``fit_rows`` cuts features from row slices
+of it: the vocabulary comes from the document frequencies of the training
+rows, and the kept columns are scaled by idf and L2-normalized row by row.
+``fold_features`` uses it for each fold, and the final model for its
+training rows.  ``fit_vocabulary`` and ``transform`` run the
 same steps on the texts they are given; ``transform`` counts only the
 vocabulary's terms and drops the rest.
 """
@@ -108,7 +109,11 @@ def count_terms(texts: list[str]) -> TermCounts:
 
 def _vocabulary(counts: sp.csr_array, terms: list[str],
                 cfg: FeaturizeConfig) -> tuple[Vocabulary, np.ndarray]:
-    """The vocabulary fitted on the rows of ``counts``, and the count columns it keeps."""
+    """The vocabulary fitted on the rows of ``counts``, and its column map.
+
+    The map sends each count column to its vocabulary column, or to -1 when
+    the term is not kept.
+    """
     if counts.shape[0] == 0:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
     df = np.bincount(counts.indices, minlength=len(terms)).astype(np.int64)
@@ -119,7 +124,9 @@ def _vocabulary(counts: sp.csr_array, terms: list[str],
     if kept.size == 0:
         raise ValueError("vocabulary is empty after min_df filtering")
     index = {terms[j]: i for i, j in enumerate(kept.tolist())}
-    return Vocabulary(index=index, df=df[kept], num_docs_fitted=counts.shape[0]), kept
+    columns = np.full(len(terms), -1, dtype=np.int32)
+    columns[kept] = np.arange(kept.size, dtype=np.int32)
+    return Vocabulary(index=index, df=df[kept], num_docs_fitted=counts.shape[0]), columns
 
 
 def _tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.csr_array:
@@ -143,15 +150,23 @@ def _tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.c
     return sp.csr_array((data, indices, indptr), shape=(counts.shape[0], vocab.size))
 
 
+def fit_rows(tc: TermCounts, rows: np.ndarray | None,
+             cfg: FeaturizeConfig) -> tuple[Vocabulary, np.ndarray, sp.csr_array]:
+    """The vocabulary fitted on ``rows`` of the count matrix (all rows for None),
+    its column map, and the TF-IDF matrix of those rows.
+
+    Equal to ``fit_vocabulary`` then ``transform`` of the same texts, bit for bit.
+    """
+    counts = tc.counts if rows is None else tc.counts[rows]
+    vocab, columns = _vocabulary(counts, tc.terms, cfg)
+    return vocab, columns, _tfidf(counts, columns, vocab)
+
+
 def fold_features(tc: TermCounts, train_rows: np.ndarray, test_rows: np.ndarray,
                   cfg: FeaturizeConfig) -> tuple[sp.csr_array, sp.csr_array]:
     """Train and test TF-IDF matrices of one fold, with the vocabulary fitted on the train rows."""
-    train_counts = tc.counts[train_rows]
-    vocab, kept = _vocabulary(train_counts, tc.terms, cfg)
-    columns = np.full(len(tc.terms), -1, dtype=np.int32)
-    columns[kept] = np.arange(kept.size, dtype=np.int32)
-    return (_tfidf(train_counts, columns, vocab),
-            _tfidf(tc.counts[test_rows], columns, vocab))
+    vocab, columns, x_train = fit_rows(tc, train_rows, cfg)
+    return x_train, _tfidf(tc.counts[test_rows], columns, vocab)
 
 
 def fit_vocabulary(texts: list[str], cfg: FeaturizeConfig | None = None) -> Vocabulary:

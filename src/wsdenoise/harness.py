@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -37,7 +38,7 @@ from wsdenoise.corpus import (
 )
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, train_text_model
+from wsdenoise.pipeline import DenoiseResult, evidence_memo, train_text_model
 from wsdenoise.seeding import derive_seed
 from wsdenoise.ulf import UlfConfig, run_ulf
 from wsdenoise.wscl import WsclConfig, run_wscl
@@ -199,8 +200,7 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
                            seed=seed, clf=clf, feat=feat),
             train_final=train_final, collect_audit=_collect, noisy=labels)
     elif train_final:
-        result.final_model = train_text_model(ds.texts, labels.labels, ds.num_classes,
-                                              feat_cfg=feat, clf_cfg=clf)
+        result.final_model = train_text_model(ds, labels.labels, feat_cfg=feat, clf_cfg=clf)
     return result
 
 
@@ -228,6 +228,16 @@ def _clear_artifacts(run_dir) -> None:
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(run_dir, name))
     shutil.rmtree(os.path.join(run_dir, "diagnostics"), ignore_errors=True)
+
+
+def _clear_grid(grid_dir) -> None:
+    """Remove what an earlier sweep wrote here: ``grid_results.json`` and ``grid_NNNN/``."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(grid_dir, "grid_results.json"))
+    with contextlib.suppress(FileNotFoundError), os.scandir(grid_dir) as entries:
+        for entry in entries:
+            if re.fullmatch(r"grid_\d{4,}", entry.name) and entry.is_dir(follow_symlinks=False):
+                shutil.rmtree(entry.path)
 
 
 def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, result: DenoiseResult,
@@ -360,14 +370,26 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     """Sweep hyperparameter value-lists; select the best dev-mean config.
 
     The sweep is exhaustive in first-in-grid order, or truncated to
-    ``budget`` points chosen by a seeded shuffle.  Ties break toward the
-    earlier grid point.  A point whose run fails is recorded with its
+    ``budget`` (>= 1) points chosen by a seeded shuffle.  Ties break toward
+    the earlier grid point.  A point whose run fails is recorded with its
     ``error`` and a null ``dev_mean``, and the sweep goes on; it raises only
     when every point fails, after writing ``grid_results.json``.  Returns
     ``(best RunConfig, results list)``.
+
+    Before the sweep, ``grid_results.json`` and the ``grid_NNNN/``
+    directories of an earlier sweep are removed from ``base.out_dir``, so
+    the directory never mixes two sweeps.  The points run inside one
+    ``pipeline.evidence_memo``: a point reuses the out-of-sample
+    probabilities of an earlier point whose fold fits had equal inputs (a
+    ``wscw`` epsilon sweep refits no partition, a ``ulf`` p sweep shares
+    iteration 1), and every point's artifacts equal those of a standalone
+    ``run``.  The memo holds about N x (K + 2) x 8 bytes per distinct stage
+    and is dropped when the sweep ends.
     """
     if not (base.dev_doc_path and base.dev_gold_path):
         raise ValueError("grid search requires a dev split for selection")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 or None, got {budget}")
     keys = list(space.keys())
     if not keys or any(len(space[k]) == 0 for k in keys):
         raise ValueError("empty grid space")
@@ -379,23 +401,25 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
 
     if ds is None:
         ds = load_dataset(base.doc_path, base.z_path, base.t_path, base.gold_path or None)
+    _clear_grid(base.out_dir)
     results = []
     best_cfg, best_score, best_idx = None, -np.inf, None
-    for idx in indices:
-        cfg = replace(base, **points[idx],
-                      out_dir=os.path.join(base.out_dir, f"grid_{idx:04d}"))
-        try:
-            report = run(cfg, ds=ds)
-        except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops
+    with evidence_memo():
+        for idx in indices:
+            cfg = replace(base, **points[idx],
+                          out_dir=os.path.join(base.out_dir, f"grid_{idx:04d}"))
+            try:
+                report = run(cfg, ds=ds)
+            except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops
+                results.append({"grid_index": idx, "params": points[idx],
+                                "error": f"{type(exc).__name__}: {exc}",
+                                "dev_mean": None, "test_mean": None})
+                continue
+            score = report.dev_mean
             results.append({"grid_index": idx, "params": points[idx],
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "dev_mean": None, "test_mean": None})
-            continue
-        score = report.dev_mean
-        results.append({"grid_index": idx, "params": points[idx],
-                        "dev_mean": score, "test_mean": report.mean})
-        if score > best_score:
-            best_cfg, best_score, best_idx = cfg, score, idx
+                            "dev_mean": score, "test_mean": report.mean})
+            if score > best_score:
+                best_cfg, best_score, best_idx = cfg, score, idx
     os.makedirs(base.out_dir, exist_ok=True)
     with open(os.path.join(base.out_dir, "grid_results.json"), "w", encoding="utf-8") as f:
         json.dump({"best_index": best_idx, "results": results}, f, indent=1, sort_keys=True)

@@ -4,20 +4,29 @@ All three methods run weak labels -> fold plan -> out-of-sample
 probabilities -> class thresholds -> confident labels, then a repair of their
 own.  ``oos_evidence`` is that common stage, ``DenoiseResult`` the one result
 type every method is reported as, and ``TextModel`` the vocabulary plus
-classifier trained on the repaired labels.
+classifier trained on the repaired labels.  ``evidence_memo`` scopes the
+reuse of out-of-sample probabilities between ``oos_evidence`` calls whose
+fold fits would be identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import contextlib
+import contextvars
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from wsdenoise.confidence import ConfidentLabels, Thresholds, class_thresholds, confident_labels
-from wsdenoise.corpus import LabelVector, WeakDataset
+from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
 from wsdenoise.crossval import FoldPlan, OOSProbs, build_plan, estimate_oos
-from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_vocabulary, transform
+from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_rows, transform
 from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train
+
+# stage key -> (dataset, labels, OOSProbs) of the last estimate under that key;
+# None outside an ``evidence_memo`` block
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("evidence_memo",
+                                                                    default=None)
 
 
 @dataclass
@@ -32,13 +41,18 @@ class TextModel:
         return np.argmax(self.predict_proba(texts), axis=1)
 
 
-def train_text_model(texts, labels, num_classes, sample_weights=None,
-                     feat_cfg: FeaturizeConfig | None = None,
+def train_text_model(ds: WeakDataset, labels, rows: np.ndarray | None = None,
+                     sample_weights=None, feat_cfg: FeaturizeConfig | None = None,
                      clf_cfg: ClassifierConfig | None = None) -> TextModel:
-    vocab = fit_vocabulary(texts, feat_cfg or FeaturizeConfig())
-    features = transform(texts, vocab)
+    """Fit a vocabulary and a classifier on ``rows`` of ``ds`` (all rows for None).
+
+    ``labels`` and ``sample_weights`` are aligned with those rows.  The
+    features are cut from the dataset's count matrix, so no text is
+    tokenized again.
+    """
+    vocab, _, features = fit_rows(ds.term_counts, rows, feat_cfg or FeaturizeConfig())
     model = train(features, labels, sample_weights=sample_weights,
-                  cfg=clf_cfg or ClassifierConfig(), num_classes=num_classes)
+                  cfg=clf_cfg or ClassifierConfig(), num_classes=ds.num_classes)
     return TextModel(vocab, model)
 
 
@@ -59,6 +73,21 @@ class DenoiseResult:
     last_probs: OOSProbs | None = None
 
 
+@contextlib.contextmanager
+def evidence_memo():
+    """Share out-of-sample probabilities between the ``oos_evidence`` calls in the block.
+
+    ``grid_search`` opens one per sweep, so grid points reuse the fold fits
+    their hyperparameters do not change.  The memo holds one entry per
+    stage key and is dropped when the block exits, even by an exception.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
                  lambda_rate: float, plan_seed: int, clf: ClassifierConfig, clf_seed: int,
                  feat: FeaturizeConfig, fold_predict=None,
@@ -67,8 +96,32 @@ def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
 
     The plan is seeded by ``plan_seed``; fold models train with ``clf`` under
     ``clf_seed``.  Thresholds are judged against ``labels``.
+
+    A fold fit is a pure function of its inputs.  Inside an
+    ``evidence_memo`` block, a call whose stage key (strategy, k, lambda,
+    plan seed, classifier config with its seed, featurizer config) and
+    dataset match the previous estimate under that key, and whose labels are
+    equal to its labels, reuses its probabilities instead of refitting the
+    folds; the plan, thresholds and confident labels are recomputed.  A
+    miss estimates as usual and replaces the entry, so the memo holds at
+    most one labels copy and one ``OOSProbs``, about N x (K + 2) x 8 bytes,
+    per stage key.  Cached arrays are read-only.  Calls with a
+    ``fold_predict`` never use the memo.
     """
     plan = build_plan(ds, strategy, k, lambda_rate, plan_seed)
-    probs = estimate_oos(ds, labels, plan, feat, replace(clf, seed=clf_seed), fold_predict)
+    clf = replace(clf, seed=clf_seed)
+    memo = _MEMO.get() if fold_predict is None else None
+    y = as_labels(labels)
+    key = (strategy, k, lambda_rate, plan_seed, astuple(clf), astuple(feat))
+    entry = memo.get(key) if memo is not None else None
+    if entry is not None and entry[0] is ds and np.array_equal(entry[1], y):
+        probs = entry[2]
+    else:
+        probs = estimate_oos(ds, labels, plan, feat, clf, fold_predict)
+        if memo is not None:
+            y = y.copy()
+            for a in (y, probs.probs, probs.prediction_count):
+                a.flags.writeable = False
+            memo[key] = (ds, y, probs)
     th = class_thresholds(probs, labels)
     return plan, probs, th, confident_labels(probs, th)

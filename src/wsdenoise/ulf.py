@@ -172,8 +172,7 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
 
     model = None
     if train_final:
-        model = train_text_model(ds.texts, final.labels, ds.num_classes,
-                                 feat_cfg=cfg.feat, clf_cfg=cfg.clf)
+        model = train_text_model(ds, final.labels, feat_cfg=cfg.feat, clf_cfg=cfg.clf)
     return DenoiseResult(
         final_labels=final,
         refined_t=t_hat,

@@ -134,8 +134,8 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
     model = None
     if train_final:
         kept = np.flatnonzero(mask.keep)
-        model = train_text_model([ds.texts[i] for i in kept], noisy.labels[kept],
-                                 ds.num_classes, feat_cfg=cfg.feat, clf_cfg=cfg.clf)
+        model = train_text_model(ds, noisy.labels[kept], kept,
+                                 feat_cfg=cfg.feat, clf_cfg=cfg.clf)
     report = {
         "confident_joint": joint.c.tolist(),
         "joint_estimate": q.tolist(),

@@ -69,7 +69,6 @@ def run_wscw(ds: WeakDataset, cfg: WscwConfig, fold_predict=None,
     weights = SampleWeights(cfg.epsilon ** flags.astype(float), flags)
     model = None
     if train_final:
-        model = train_text_model(ds.texts, noisy.labels, ds.num_classes,
-                                 sample_weights=weights.w,
+        model = train_text_model(ds, noisy.labels, sample_weights=weights.w,
                                  feat_cfg=cfg.feat, clf_cfg=cfg.clf)
     return weights, model

@@ -12,6 +12,9 @@ what the featurizer produced, or to the text of the error it raised:
   corpus and of held-out texts with unknown terms.
 
 CSR digests cover ``data``, ``indices`` and ``indptr`` with their dtypes.
+Without the fixture, one more test checks that the final model's features,
+cut from a dataset's count matrix by ``fit_rows``, equal ``fit_vocabulary``
+then ``transform`` of the same texts, and so does the model trained on them.
 The corpora hold Unicode text, empty documents, punctuation-only documents
 and documents with no in-vocabulary token.  Regenerate the file only when a
 change to the features is intended:
@@ -25,12 +28,14 @@ import os
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from wsdenoise import crossval
 from wsdenoise.corpus import majority_vote
 from wsdenoise.crossval import build_plan, estimate_oos
-from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, transform
-from wsdenoise.linear import ClassifierConfig
+from wsdenoise.featurize import FeaturizeConfig, fit_rows, fit_vocabulary, transform
+from wsdenoise.linear import ClassifierConfig, train
+from wsdenoise.pipeline import train_text_model
 from wsdenoise.synth import SynthConfig, generate
 
 from conftest import make_dataset
@@ -176,6 +181,28 @@ def test_features_match_frozen_digests():
     assert got.keys() == frozen.keys()
     diff = [key for key in frozen if got[key] != frozen[key]]
     assert not diff, f"{len(diff)} of {len(frozen)} cases changed, first: {diff[0]}"
+
+
+@pytest.mark.parametrize("fname", ["default", "min_df2", "max40"])
+def test_final_model_matches_fit_vocabulary_then_transform(fname):
+    """The final model's features, cut from the count matrix, equal the text path's."""
+    feat, clf = CONFIGS[fname], ClassifierConfig(epochs=3, learning_rate=0.1, seed=9)
+    for ds, labels in _datasets().values():
+        for rows in (None, np.arange(1, ds.n_samples, 3)):
+            texts = ds.texts if rows is None else [ds.texts[i] for i in rows]
+            y = labels.labels if rows is None else labels.labels[rows]
+            weights = None if rows is None else np.linspace(0.2, 1.0, len(rows))
+            vocab = fit_vocabulary(texts, feat)
+            x = transform(texts, vocab)
+            got_vocab, _, got_x = fit_rows(ds.term_counts, rows, feat)
+            assert _vocab_digest(got_vocab) == _vocab_digest(vocab)
+            assert _csr_digest(got_x) == _csr_digest(x)
+            want = train(x, y, sample_weights=weights, cfg=clf, num_classes=ds.num_classes)
+            got = train_text_model(ds, y, rows, weights, feat, clf)
+            assert _vocab_digest(got.vocab) == _vocab_digest(vocab)
+            assert got.model.weights.tobytes() == want.weights.tobytes()
+            assert got.model.bias.tobytes() == want.bias.tobytes()
+            assert got.model.training_log == want.training_log
 
 
 if __name__ == "__main__":

@@ -276,6 +276,27 @@ class TestGridSearch:
         _, results = grid_search(base, {"p": [0.1, 0.3, 0.5, 0.7]}, budget=2, ds=ds)
         assert len(results) == 2
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, tmp_path, budget):
+        ds, base = self._setup(tmp_path)
+        with pytest.raises(ValueError, match="budget"):
+            grid_search(base, {"p": [0.1, 0.3, 0.5]}, budget=budget, ds=ds)
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_a_sweep_replaces_the_previous_one(self, tmp_path, budget):
+        ds, base = self._setup(tmp_path)
+        grid_search(base, {"p": [0.1, 0.3, 0.5]}, ds=ds)
+        kept = ["notes.txt", "grid_0007", "grid_12", "grid_0001x", "grid_0009.txt"]
+        for name in kept:
+            open(os.path.join(base.out_dir, name), "w").close()
+        os.mkdir(os.path.join(base.out_dir, "grid_extra"))
+        _, results = grid_search(base, {"p": [0.1, 0.3]}, budget=budget, ds=ds)
+        points = [f"grid_{r['grid_index']:04d}" for r in results]
+        assert sorted(os.listdir(base.out_dir)) == sorted(
+            points + kept + ["grid_extra", "grid_results.json"])
+        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        assert written["results"] == results
+
     def test_selects_highest_dev_mean(self, tmp_path):
         ds, base = self._setup(tmp_path)
         best, results = grid_search(base, {"p": [0.0, 0.5], "k": [3, 4]}, ds=ds)

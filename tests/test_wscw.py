@@ -71,7 +71,7 @@ class TestRunWscw:
         cfg = WscwConfig(k=4, partitions=1, epsilon=1.0, seed=5, clf=clf)
         _, model = run_wscw(ds, cfg)
         noisy = majority_vote(ds, ds.t, 5)
-        baseline = train_text_model(ds.texts, noisy.labels, ds.num_classes, clf_cfg=clf)
+        baseline = train_text_model(ds, noisy.labels, clf_cfg=clf)
         assert (model.model.weights == baseline.model.weights).all()
         assert (model.model.bias == baseline.model.bias).all()
 
