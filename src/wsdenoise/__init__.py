@@ -31,7 +31,7 @@ from wsdenoise.crossval import (
     plan_by_signature,
     estimate_oos,
 )
-from wsdenoise.confidence import Thresholds, ConfidentLabels, class_thresholds, confident_labels
+from wsdenoise.confidence import class_thresholds, confident_labels
 from wsdenoise.pipeline import DenoiseResult
 from wsdenoise.ulf import (
     UlfConfig,

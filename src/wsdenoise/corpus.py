@@ -110,7 +110,7 @@ class LabelVector:
 
 
 def as_labels(labels) -> np.ndarray:
-    """Integer label array from a ``LabelVector``/``ConfidentLabels`` or an array."""
+    """Integer label array from a ``LabelVector`` of weak labels or an array-like."""
     return np.asarray(getattr(labels, "labels", labels), dtype=np.int64)
 
 

@@ -102,6 +102,26 @@ class RunConfig:
             raise ValueError(f"strategy must be one of {sorted(STRATEGY_ALIASES)}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        self.method_config(self.seed)
+
+    def method_config(self, seed: int) -> UlfConfig | WsclConfig | WscwConfig | None:
+        """The method's own config for a repeat seeded ``seed`` (None for the baseline).
+
+        Building it checks every value the method reads, so ``RunConfig()`` does.
+        """
+        clf, feat = self.classifier_config(seed), self.featurize_config()
+        strategy = STRATEGY_ALIASES[self.strategy]
+        if self.method == "ulf":
+            return UlfConfig(p=self.p, k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
+                             max_iters=self.iters, stall_patience=self.stall_patience,
+                             seed=seed, clf=clf, feat=feat)
+        if self.method == "wscl":
+            return WsclConfig(k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
+                              seed=seed, clf=clf, feat=feat)
+        if self.method == "wscw":
+            return WscwConfig(k=self.k, partitions=self.partitions, epsilon=self.epsilon,
+                              seed=seed, clf=clf, feat=feat)
+        return None
 
     def classifier_config(self, seed: int) -> ClassifierConfig:
         return ClassifierConfig(learning_rate=self.lr, epochs=self.epochs,
@@ -129,35 +149,32 @@ class MetricsReport:
 # metrics
 
 
-def _f1(tp: int, fp: int, fn: int) -> float:
+def _f1(p: np.ndarray, g: np.ndarray, c) -> float:
+    """F1 of class ``c`` against the rest; 0 when ``c`` has no true or predicted sample."""
+    tp = int(((p == c) & (g == c)).sum())
+    fp = int(((p == c) & (g != c)).sum())
+    fn = int(((p != c) & (g == c)).sum())
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom else 0.0
 
 
 def evaluate(pred, gold, metric: str) -> float:
-    """Accuracy, binary F1 (class 1 positive, K=2), or macro F1."""
+    """Accuracy, binary F1 (class 1 positive, K=2), or macro F1.
+
+    Macro F1 averages over the classes present in ``pred`` or ``gold``.
+    """
     p = as_labels(pred)
     g = as_labels(gold)
     if len(p) != len(g):
         raise ValueError("prediction and gold lengths disagree")
     if metric == "accuracy":
         return float((p == g).mean())
-    k = int(max(p.max(initial=0), g.max(initial=0)) + 1)
     if metric == "binary_f1":
-        if k > 2:
+        if max(p.max(initial=0), g.max(initial=0)) > 1:
             raise ValueError("binary_f1 requires K = 2")
-        tp = int(((p == 1) & (g == 1)).sum())
-        fp = int(((p == 1) & (g != 1)).sum())
-        fn = int(((p != 1) & (g == 1)).sum())
-        return _f1(tp, fp, fn)
+        return _f1(p, g, 1)
     if metric == "macro_f1":
-        vals = []
-        for c in range(k):
-            tp = int(((p == c) & (g == c)).sum())
-            fp = int(((p == c) & (g != c)).sum())
-            fn = int(((p != c) & (g == c)).sum())
-            vals.append(_f1(tp, fp, fn))
-        return float(np.mean(vals))
+        return float(np.mean([_f1(p, g, c) for c in np.union1d(p, g)]))
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -178,17 +195,11 @@ def _load_split(doc_path, gold_path, num_classes):
 def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
                     train_final: bool) -> DenoiseResult:
     """Run one repeat of the configured method; ``train_final`` asks for the final model."""
-    strategy = STRATEGY_ALIASES[cfg.strategy]
-    feat = cfg.featurize_config()
-    clf = cfg.classifier_config(seed)
+    method_cfg = cfg.method_config(seed)
     if cfg.method == "ulf":
-        return run_ulf(ds, UlfConfig(p=cfg.p, k=cfg.k, strategy=strategy,
-                                     lambda_rate=cfg.lambda_rate, max_iters=cfg.iters,
-                                     stall_patience=cfg.stall_patience, seed=seed,
-                                     clf=clf, feat=feat), train_final=train_final)
+        return run_ulf(ds, method_cfg, train_final=train_final)
     if cfg.method == "wscl":
-        return run_wscl(ds, WsclConfig(k=cfg.k, strategy=strategy, lambda_rate=cfg.lambda_rate,
-                                       seed=seed, clf=clf, feat=feat), train_final=train_final)
+        return run_wscl(ds, method_cfg, train_final=train_final)
     labels = majority_vote(ds, ds.t, seed)
     result = DenoiseResult(final_labels=labels, refined_t=np.asarray(ds.t, dtype=float))
     if cfg.method == "wscw":
@@ -196,11 +207,10 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
             result.last_plan, result.last_probs = plan, probs
 
         result.sample_weights, result.final_model = run_wscw(
-            ds, WscwConfig(k=cfg.k, partitions=cfg.partitions, epsilon=cfg.epsilon,
-                           seed=seed, clf=clf, feat=feat),
-            train_final=train_final, collect_audit=_collect, noisy=labels)
+            ds, method_cfg, train_final=train_final, collect_audit=_collect, noisy=labels)
     elif train_final:
-        result.final_model = train_text_model(ds, labels.labels, feat_cfg=feat, clf_cfg=clf)
+        result.final_model = train_text_model(ds, labels.labels, feat_cfg=cfg.featurize_config(),
+                                              clf_cfg=cfg.classifier_config(seed))
     return result
 
 
@@ -376,10 +386,11 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     when every point fails, after writing ``grid_results.json``.  Returns
     ``(best RunConfig, results list)``.
 
-    Before the sweep, ``grid_results.json`` and the ``grid_NNNN/``
-    directories of an earlier sweep are removed from ``base.out_dir``, so
-    the directory never mixes two sweeps.  The points run inside one
-    ``pipeline.evidence_memo``: a point reuses the out-of-sample
+    Before the sweep, ``grid_results.json`` and the ``grid_NNNN/`` directories
+    of an earlier sweep are removed from ``base.out_dir``, so the directory
+    never mixes two sweeps; a value no ``RunConfig`` accepts (``p=2``, say)
+    raises before that, leaving the earlier sweep in place.  The points run
+    inside one ``pipeline.evidence_memo``: a point reuses the out-of-sample
     probabilities of an earlier point whose fold fits had equal inputs (a
     ``wscw`` epsilon sweep refits no partition, a ``ulf`` p sweep shares
     iteration 1), and every point's artifacts equal those of a standalone
@@ -399,15 +410,15 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
         rng = np.random.default_rng([base.seed, 900])
         indices = sorted(rng.permutation(len(points))[:budget].tolist())
 
+    cfgs = [replace(base, **points[i], out_dir=os.path.join(base.out_dir, f"grid_{i:04d}"))
+            for i in indices]
     if ds is None:
         ds = load_dataset(base.doc_path, base.z_path, base.t_path, base.gold_path or None)
     _clear_grid(base.out_dir)
     results = []
     best_cfg, best_score, best_idx = None, -np.inf, None
     with evidence_memo():
-        for idx in indices:
-            cfg = replace(base, **points[idx],
-                          out_dir=os.path.join(base.out_dir, f"grid_{idx:04d}"))
+        for idx, cfg in zip(indices, cfgs):
             try:
                 report = run(cfg, ds=ds)
             except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops

@@ -120,13 +120,14 @@ def _mean_loss(weights, bias, x, y, sample_weights, l2):
 
 
 def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = None,
-          num_classes: int | None = None) -> Model:
+          *, num_classes: int) -> Model:
     """Fit by mini-batch SGD and return the best-epoch parameters.
 
     Early stopping watches the weighted mean training loss after each epoch.
     Per-batch gradients are normalized by the batch weight sum, so uniformly
     scaling all sample weights leaves the trajectory unchanged and
-    zero-weight samples are inert.
+    zero-weight samples are inert.  ``num_classes`` sets K, also for a class
+    no training label carries.
     """
     cfg = cfg or ClassifierConfig()
     x = sp.csr_array(features, dtype=np.float64)
@@ -134,7 +135,7 @@ def train(features, labels, sample_weights=None, cfg: ClassifierConfig | None = 
     n = x.shape[0]
     if len(y) != n:
         raise ValueError("feature and label lengths disagree")
-    k = int(num_classes if num_classes is not None else y.max() + 1)
+    k = int(num_classes)
     if sample_weights is None:
         sw = np.ones(n)
     else:

@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from wsdenoise.confidence import ConfidentLabels, Thresholds, class_thresholds, confident_labels
+from wsdenoise.confidence import class_thresholds, confident_labels
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
 from wsdenoise.crossval import FoldPlan, OOSProbs, build_plan, estimate_oos
 from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_rows, transform
@@ -91,11 +91,12 @@ def evidence_memo():
 def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
                  lambda_rate: float, plan_seed: int, clf: ClassifierConfig, clf_seed: int,
                  feat: FeaturizeConfig, fold_predict=None,
-                 ) -> tuple[FoldPlan, OOSProbs, Thresholds, ConfidentLabels]:
+                 ) -> tuple[FoldPlan, OOSProbs, np.ndarray, np.ndarray]:
     """Plan folds, estimate out-of-sample probabilities, and read confident labels off them.
 
     The plan is seeded by ``plan_seed``; fold models train with ``clf`` under
-    ``clf_seed``.  Thresholds are judged against ``labels``.
+    ``clf_seed``.  Returns the plan, the probabilities, and two arrays: K class
+    thresholds judged against ``labels`` and N int64 confident labels.
 
     A fold fit is a pure function of its inputs.  Inside an
     ``evidence_memo`` block, a call whose stage key (strategy, k, lambda,
@@ -123,5 +124,5 @@ def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
             for a in (y, probs.probs, probs.prediction_count):
                 a.flags.writeable = False
             memo[key] = (ds, y, probs)
-    th = class_thresholds(probs, labels)
-    return plan, probs, th, confident_labels(probs, th)
+    th = class_thresholds(probs.probs, labels)
+    return plan, probs, th, confident_labels(probs.probs, th)

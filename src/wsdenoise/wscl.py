@@ -1,8 +1,9 @@
 """Confident-joint estimation and noise-rate pruning with LF-aware folds.
 
-A class-to-class confident joint counts (weak label, confident label) pairs;
-samples without a confident label do not participate.  The joint is
-calibrated row-wise to the weak-label class counts and normalized by N, then
+A class-to-class confident joint counts (weak label, confident label) pairs
+in a K x K array; samples without a confident label do not participate.  The
+joint is calibrated row-wise to the weak-label class counts by the rule ULF's
+LF rows follow too (``confidence.calibrate_rows``) and normalized by N, then
 each off-diagonal cell (i, j) prunes round(N * q[i][j]) samples with weak
 label i, ranked by the probability margin p(j) - p(i).  Pruned samples are
 excluded from final training; nothing is relabeled.
@@ -14,17 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wsdenoise.confidence import NO_LABEL, as_probs
+from wsdenoise.confidence import NO_LABEL, calibrate_rows
 from wsdenoise.corpus import WeakDataset, as_labels, majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
 from wsdenoise.seeding import derive_seed
-
-
-@dataclass
-class ClassConfidentJoint:
-    c: np.ndarray  # K x K counts; rows = noisy label, columns = confident label
 
 
 @dataclass
@@ -48,21 +44,19 @@ class WsclConfig:
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
 
 
-def class_confident_joint(noisy, conf, num_classes: int | None = None) -> ClassConfidentJoint:
-    """Count (noisy label, confident label) pairs over confidently labeled samples."""
+def class_confident_joint(noisy, conf: np.ndarray, num_classes: int) -> np.ndarray:
+    """Count (noisy label, confident label) pairs over confidently labeled samples.
+
+    Rows are noisy labels and columns confident labels.
+    """
     y = as_labels(noisy)
-    yc = as_labels(conf)
-    if num_classes is not None:
-        k = num_classes
-    else:
-        k = int(max(y.max(), yc.max()) + 1) if len(y) else 0
-    c = np.zeros((k, k), dtype=np.int64)
-    sel = yc != NO_LABEL
-    np.add.at(c, (y[sel], yc[sel]), 1)
-    return ClassConfidentJoint(c)
+    c = np.zeros((num_classes, num_classes), dtype=np.int64)
+    sel = conf != NO_LABEL
+    np.add.at(c, (y[sel], conf[sel]), 1)
+    return c
 
 
-def calibrate_joint(cj: ClassConfidentJoint, noisy) -> np.ndarray:
+def calibrate_joint(c: np.ndarray, noisy) -> np.ndarray:
     """Scale each row to the noisy-label class count, then divide by N.
 
     Zero rows stay zero.  The result estimates the joint distribution of
@@ -70,17 +64,11 @@ def calibrate_joint(cj: ClassConfidentJoint, noisy) -> np.ndarray:
     support and confident co-occurrences.
     """
     y = as_labels(noisy)
-    n = len(y)
-    k = cj.c.shape[0]
-    counts = np.bincount(y, minlength=k).astype(float)
-    q = np.zeros_like(cj.c, dtype=float)
-    row_sums = cj.c.sum(axis=1).astype(float)
-    nonzero = row_sums > 0
-    q[nonzero] = cj.c[nonzero] * (counts[nonzero] / row_sums[nonzero])[:, None]
-    return q / n
+    counts = np.bincount(y, minlength=c.shape[0]).astype(float)
+    return calibrate_rows(c, counts) / len(y)
 
 
-def prune(q: np.ndarray, probs, noisy) -> PruneMask:
+def prune(q: np.ndarray, probs: np.ndarray, noisy) -> PruneMask:
     """Per off-diagonal cell (i, j), prune the top round(N * q[i][j]) samples
     with noisy label i ranked by margin p(j) - p(i) descending.
 
@@ -89,7 +77,6 @@ def prune(q: np.ndarray, probs, noisy) -> PruneMask:
     pruned once, claimed by the first cell in row-major order; margin ties
     break toward the lower sample id.
     """
-    p = as_probs(probs)
     y = as_labels(noisy)
     n, k = len(y), q.shape[0]
     pruned = np.zeros(n, dtype=bool)
@@ -106,7 +93,7 @@ def prune(q: np.ndarray, probs, noisy) -> PruneMask:
             if cand.size == 0:
                 shortfall[i, j] = m
                 continue
-            margins = p[cand, j] - p[cand, i]
+            margins = probs[cand, j] - probs[cand, i]
             order = np.lexsort((cand, -margins))  # margin desc, then lower id
             take = cand[order[: min(m, cand.size)]]
             pruned[take] = True
@@ -129,7 +116,7 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
         cfg.clf, derive_seed(cfg.seed, 700), cfg.feat, fold_predict)
     joint = class_confident_joint(noisy, conf, ds.num_classes)
     q = calibrate_joint(joint, noisy)
-    mask = prune(q, probs, noisy)
+    mask = prune(q, probs.probs, noisy)
 
     model = None
     if train_final:
@@ -137,7 +124,7 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
         model = train_text_model(ds, noisy.labels[kept], kept,
                                  feat_cfg=cfg.feat, clf_cfg=cfg.clf)
     report = {
-        "confident_joint": joint.c.tolist(),
+        "confident_joint": joint.tolist(),
         "joint_estimate": q.tolist(),
         "pruned_counts": mask.pruned_counts.tolist(),
         "shortfall": mask.shortfall.tolist(),

@@ -17,6 +17,17 @@ from wsdenoise.harness import (
 from wsdenoise.synth import SynthConfig, generate
 
 
+def _snapshot(root) -> dict:
+    """Relative path -> bytes of every file under ``root``."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
 class TestEvaluate:
     def test_accuracy_hand(self):
         assert evaluate(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0]), "accuracy") == 0.75
@@ -36,6 +47,19 @@ class TestEvaluate:
         gold = np.array([0, 1, 1, 1])
         # class 0: tp=1 fp=1 fn=0 -> 2/3; class 1: tp=2 fp=0 fn=1 -> 4/5
         assert np.isclose(evaluate(pred, gold, "macro_f1"), (2 / 3 + 4 / 5) / 2)
+
+    def test_macro_f1_averages_present_classes_only(self):
+        # classes 0 and 2 only: class 0 -> 2/3, class 2 -> 4/5; class 1 is in
+        # neither array and so has no F1, as class 2 has none on labels {0, 1}
+        gold, pred = np.array([0, 0, 2, 2]), np.array([0, 2, 2, 2])
+        assert np.isclose(evaluate(pred, gold, "macro_f1"), (2 / 3 + 4 / 5) / 2)
+        gold01, pred01 = np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])
+        assert np.isclose(evaluate(pred01, gold01, "macro_f1"), (2 / 3 + 4 / 5) / 2)
+
+    def test_macro_f1_counts_a_class_only_predicted(self):
+        # class 1 appears only among predictions: it scores 0 and is averaged
+        gold, pred = np.array([0, 0, 0]), np.array([0, 0, 1])
+        assert np.isclose(evaluate(pred, gold, "macro_f1"), (4 / 5 + 0.0) / 2)
 
     def test_zero_denominator_class_scores_zero(self):
         pred = np.array([0, 0])
@@ -65,7 +89,8 @@ class TestEvaluate:
                 fn = conf[c, :].sum() - tp
                 d = 2 * tp + fp + fn
                 f1s.append(2 * tp / d if d else 0.0)
-            assert np.isclose(evaluate(pred, gold, "macro_f1"), np.mean(f1s))
+            present = np.union1d(pred, gold)  # macro F1 skips classes in neither
+            assert np.isclose(evaluate(pred, gold, "macro_f1"), np.mean([f1s[c] for c in present]))
             if k == 2:
                 assert np.isclose(evaluate(pred, gold, "binary_f1"), f1s[1])
 
@@ -82,6 +107,24 @@ class TestRunConfig:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="strategy"):
             RunConfig(strategy="stratified")
+
+    @pytest.mark.parametrize("method,key,value,match", [
+        ("wscl", "strategy", "rndm", "strategy"),
+        ("ulf", "p", 2.0, "p must"),
+        ("wscw", "epsilon", 0.0, "epsilon"),
+        ("baseline_majority", "lr", 0.0, "learning_rate"),
+    ])
+    def test_rejects_bad_method_value(self, method, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig(method=method, **{key: value})
+
+    def test_method_config_per_method(self):
+        assert RunConfig(method="baseline_majority").method_config(3) is None
+        ulf = RunConfig(method="ulf", strategy="lfs", iters=4, lr=0.2).method_config(7)
+        assert (ulf.strategy, ulf.max_iters, ulf.seed) == ("by_lf", 4, 7)
+        assert (ulf.clf.learning_rate, ulf.clf.seed) == (0.2, 7)
+        assert RunConfig(method="wscw", epsilon=0.5).method_config(1).epsilon == 0.5
+        assert RunConfig(method="wscl").method_config(1).strategy == "by_signature"
 
 
 class TestRun:
@@ -134,11 +177,9 @@ class TestRun:
         assert (out2 / "weights.tsv").exists()
 
     def test_wscl_rejects_random_strategy(self, tmp_path):
-        ds, _ = generate(SynthConfig(n_samples=100, seed=24, coverage_target=0.8))
-        cfg = RunConfig(method="wscl", strategy="rndm", out_dir=str(tmp_path / "r"),
-                        **self._fast())
-        with pytest.raises(RuntimeError, match="all repeats failed"):
-            run(cfg, ds=ds)
+        with pytest.raises(ValueError, match="strategy must be 'by_lf' or 'by_signature'"):
+            RunConfig(method="wscl", strategy="rndm", out_dir=str(tmp_path / "r"),
+                      **self._fast())
 
     def test_test_split_preferred_over_gold(self, tmp_path):
         ds, _ = generate(SynthConfig(n_samples=300, seed=25, lf_precision=1.0,
@@ -296,6 +337,14 @@ class TestGridSearch:
             points + kept + ["grid_extra", "grid_results.json"])
         written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
         assert written["results"] == results
+
+    def test_bad_value_keeps_the_previous_sweep(self, tmp_path):
+        ds, base = self._setup(tmp_path)
+        grid_search(base, {"p": [0.1, 0.3]}, ds=ds)
+        before = _snapshot(base.out_dir)
+        with pytest.raises(ValueError, match="p must lie in"):
+            grid_search(base, {"p": [0.3, 2.0]}, ds=ds)
+        assert _snapshot(base.out_dir) == before
 
     def test_selects_highest_dev_mean(self, tmp_path):
         ds, base = self._setup(tmp_path)
@@ -475,6 +524,22 @@ class TestCli:
         assert sorted(os.listdir(out / "diagnostics")) == ["iter_001.json", "iter_002.json"]
         assert not (out / "fold_audit.tsv").exists()
         assert (out / "grid_0000").is_dir() and (out / "grid_results.json").read_text() == "{}"
+
+    @pytest.mark.parametrize("verb, key, value, match", [
+        ("wscl", "strategy", "rndm", "strategy must be"),
+        ("ulf", "p", "2", "p must lie in"),
+        ("wscw", "epsilon", "0", "epsilon must lie in"),
+        ("wscl", "lr", "0", "learning_rate must be positive"),
+    ])
+    def test_bad_value_keeps_the_previous_run(self, tmp_path, verb, key, value, match):
+        data = self._synth(tmp_path)
+        args = [verb, *self._data_args(data), "--out_dir", str(tmp_path / "run"),
+                "--epochs", "1", "--iters", "1", "--k", "3", "--partitions", "1"]
+        assert cli.main(args) == 0
+        before = _snapshot(tmp_path / "run")
+        with pytest.raises(ValueError, match=match):
+            cli.main(args + [f"--{key}", value])
+        assert _snapshot(tmp_path / "run") == before
 
     @pytest.mark.parametrize("key", ["repeats", "k", "seed"])
     def test_none_rejected_for_non_optional_field(self, key):

@@ -99,14 +99,15 @@ class TestSparseKernels:
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         x, y = toy_separable()
-        m = train(x, y, cfg=ClassifierConfig(learning_rate=1e-1, epochs=20, seed=0))
+        m = train(x, y, cfg=ClassifierConfig(learning_rate=1e-1, epochs=20, seed=0),
+                  num_classes=2)
         assert (np.argmax(predict_proba(m, x), axis=1) == y).all()
 
     def test_uniform_weight_scaling_is_invariant(self):
         x, y = toy_separable()
         cfg = ClassifierConfig(learning_rate=1e-1, epochs=10, seed=4)
-        m1 = train(x, y, cfg=cfg)
-        m2 = train(x, y, sample_weights=np.full(4, 3.7), cfg=cfg)
+        m1 = train(x, y, cfg=cfg, num_classes=2)
+        m2 = train(x, y, sample_weights=np.full(4, 3.7), cfg=cfg, num_classes=2)
         np.testing.assert_allclose(m1.weights, m2.weights, rtol=0, atol=0)
         np.testing.assert_allclose(m1.bias, m2.bias, rtol=0, atol=0)
 
@@ -116,8 +117,8 @@ class TestTrain:
         y_flipped[3] = 0  # mislabel the zero-weighted point
         w = np.array([1.0, 1.0, 1.0, 0.0])
         cfg = ClassifierConfig(learning_rate=1e-1, epochs=10, seed=4)
-        m1 = train(x, y, sample_weights=w, cfg=cfg)
-        m2 = train(x, y_flipped, sample_weights=w, cfg=cfg)
+        m1 = train(x, y, sample_weights=w, cfg=cfg, num_classes=2)
+        m2 = train(x, y_flipped, sample_weights=w, cfg=cfg, num_classes=2)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
@@ -125,7 +126,7 @@ class TestTrain:
     def test_sample_weight_count_must_match_rows(self, count):
         x, y = toy_separable()
         with pytest.raises(ValueError, match=f"{count} sample weights for 4 feature rows"):
-            train(x, y, sample_weights=np.ones(count))
+            train(x, y, sample_weights=np.ones(count), num_classes=2)
 
     def test_determinism(self, rng):
         x = rng.normal(size=(40, 6))
@@ -136,11 +137,25 @@ class TestTrain:
         assert (m1.weights == m2.weights).all() and (m1.bias == m2.bias).all()
         assert m1.training_log == m2.training_log
 
+    def test_class_missing_from_labels_keeps_its_column(self):
+        # no training label is 2, yet the model still scores three classes
+        x, y = toy_separable()
+        m = train(x, y, cfg=ClassifierConfig(epochs=3, seed=0), num_classes=3)
+        assert m.weights.shape == (2, 3) and m.bias.shape == (3,)
+        assert predict_proba(m, x).shape == (4, 3)
+
+    def test_num_classes_is_required_by_keyword(self):
+        x, y = toy_separable()
+        with pytest.raises(TypeError):
+            train(x, y)
+        with pytest.raises(TypeError):
+            train(x, y, None, None, 2)
+
     def test_full_batch_loss_non_increasing(self):
         x, y = toy_separable()
         cfg = ClassifierConfig(learning_rate=1e-3, epochs=20, batch_size=4,
                                patience=20, seed=0)
-        m = train(x, y, cfg=cfg)
+        m = train(x, y, cfg=cfg, num_classes=2)
         log = np.array(m.training_log)
         assert (np.diff(log) <= 1e-12).all()
 
@@ -149,7 +164,7 @@ class TestTrain:
         y = np.array([0, 1] * 8)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
             train(x, y, cfg=ClassifierConfig(learning_rate=1e3, epochs=5,
-                                             batch_size=4, seed=0))
+                                             batch_size=4, seed=0), num_classes=2)
 
 
 class TestPredictProba:

@@ -3,7 +3,6 @@ import pytest
 
 from wsdenoise.confidence import (
     NO_LABEL,
-    Thresholds,
     class_thresholds,
     confident_labels,
 )
@@ -11,8 +10,6 @@ from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.crossval import plan_random, estimate_oos
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.ulf import (
-    CalibratedJoint,
-    LfConfidentMatrix,
     UlfConfig,
     calibrate,
     lf_confident_matrix,
@@ -25,28 +22,23 @@ from wsdenoise.synth import SynthConfig, generate
 from conftest import make_dataset, random_instance, echo_stub
 
 
-class FakeConf:
-    def __init__(self, labels):
-        self.labels = np.asarray(labels, dtype=np.int64)
-
-
 class TestLfConfidentMatrix:
     def test_no_confident_labels(self):
         ds = make_dataset([[1, 0], [0, 1]], np.eye(2))
-        cm = lf_confident_matrix(ds, FakeConf([NO_LABEL, NO_LABEL]))
-        assert not cm.c.any()
+        cm = lf_confident_matrix(ds, np.array([NO_LABEL, NO_LABEL]))
+        assert not cm.any()
 
     def test_multi_lf_sample_counts_per_lf(self):
         ds = make_dataset([[1, 1]], np.eye(2))
-        cm = lf_confident_matrix(ds, FakeConf([1]))
-        assert cm.c[0, 1] == 1 and cm.c[1, 1] == 1
-        assert cm.c.sum() == 2
+        cm = lf_confident_matrix(ds, np.array([1]))
+        assert cm[0, 1] == 1 and cm[1, 1] == 1
+        assert cm.sum() == 2
 
     def test_brute_force_oracle(self, rng):
         for _ in range(20):
             ds = random_instance(rng)
             labels = rng.integers(-1, ds.num_classes, size=ds.n_samples)
-            cm = lf_confident_matrix(ds, FakeConf(labels))
+            cm = lf_confident_matrix(ds, labels)
             zd = ds.z.toarray()
             expect = np.zeros((ds.n_lfs, ds.num_classes), dtype=int)
             for i in range(ds.n_samples):
@@ -55,7 +47,7 @@ class TestLfConfidentMatrix:
                 for l in range(ds.n_lfs):
                     if zd[i, l]:
                         expect[l, labels[i]] += 1
-            np.testing.assert_array_equal(cm.c, expect)
+            np.testing.assert_array_equal(cm, expect)
 
 
 class TestCalibrate:
@@ -72,58 +64,53 @@ class TestCalibrate:
 
     def test_hand_scaling(self):
         ds = self._ds_with_matches([10])
-        cj = calibrate(LfConfidentMatrix(np.array([[6, 2]])), ds)
-        np.testing.assert_allclose(cj.q[0], [7.5, 2.5])
+        q = calibrate(np.array([[6, 2]]), ds)
+        np.testing.assert_allclose(q[0], [7.5, 2.5])
 
     def test_zero_row_is_uninformative(self):
         ds = self._ds_with_matches([4])
-        cj = calibrate(LfConfidentMatrix(np.array([[0, 0]])), ds)
-        assert not cj.informative[0]
-        assert not cj.q[0].any()
+        q = calibrate(np.array([[0, 0]]), ds)
+        assert not q[0].any()
+        assert (refine_t(ds.t, q, 1.0) == ds.t).all()  # refine_t leaves the row alone
 
     def test_already_calibrated(self):
         ds = self._ds_with_matches([4])
-        cj = calibrate(LfConfidentMatrix(np.array([[4, 0]])), ds)
-        np.testing.assert_allclose(cj.q[0], [4, 0])
+        q = calibrate(np.array([[4, 0]]), ds)
+        np.testing.assert_allclose(q[0], [4, 0])
 
     def test_row_totals_match_z(self, rng):
         for _ in range(10):
             ds = random_instance(rng)
             labels = rng.integers(-1, ds.num_classes, size=ds.n_samples)
-            cj = calibrate(lf_confident_matrix(ds, FakeConf(labels)), ds)
+            c = lf_confident_matrix(ds, labels)
+            q = calibrate(c, ds)
             matches = np.asarray(ds.z.sum(axis=0)).ravel()
-            for l in np.flatnonzero(cj.informative):
-                assert abs(cj.q[l].sum() - matches[l]) < 1e-9
+            for l in np.flatnonzero(c.sum(axis=1) > 0):
+                assert abs(q[l].sum() - matches[l]) < 1e-9
 
 
 class TestRefineT:
     def test_p_zero_is_identity(self):
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cj = CalibratedJoint(np.array([[7.5, 2.5], [1.0, 3.0]]),
-                             np.array([10.0, 4.0]), np.array([True, True]))
-        out = refine_t(t, cj, 0.0)
+        out = refine_t(t, np.array([[7.5, 2.5], [1.0, 3.0]]), 0.0)
         assert (out == t).all()
 
     def test_p_one_is_normalized_evidence(self):
         t = np.array([[1.0, 0.0]])
-        cj = CalibratedJoint(np.array([[7.5, 2.5]]), np.array([10.0]), np.array([True]))
-        np.testing.assert_allclose(refine_t(t, cj, 1.0)[0], [0.75, 0.25])
+        np.testing.assert_allclose(refine_t(t, np.array([[7.5, 2.5]]), 1.0)[0], [0.75, 0.25])
 
     def test_hand_convex_combination(self):
         t = np.array([[1.0, 0.0]])
-        cj = CalibratedJoint(np.array([[6.0, 4.0]]), np.array([10.0]), np.array([True]))
-        np.testing.assert_allclose(refine_t(t, cj, 0.5)[0], [0.8, 0.2])
+        np.testing.assert_allclose(refine_t(t, np.array([[6.0, 4.0]]), 0.5)[0], [0.8, 0.2])
 
     def test_uninformative_rows_unchanged(self):
         t = np.array([[0.3, 0.7]])
-        cj = CalibratedJoint(np.zeros((1, 2)), np.array([0.0]), np.array([False]))
-        assert (refine_t(t, cj, 0.9) == t).all()
+        assert (refine_t(t, np.zeros((1, 2)), 0.9) == t).all()
 
     def test_rows_sum_to_one_and_affine_in_p(self, rng):
         t = rng.dirichlet(np.ones(3), size=4)
         q = rng.uniform(0.1, 5.0, size=(4, 3))
-        cj = CalibratedJoint(q, q.sum(axis=1), np.ones(4, dtype=bool))
-        outs = {p: refine_t(t, cj, p) for p in (0.0, 0.25, 0.5, 1.0)}
+        outs = {p: refine_t(t, q, p) for p in (0.0, 0.25, 0.5, 1.0)}
         for p, out in outs.items():
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
             assert (out >= 0).all() and (out <= 1).all()
@@ -133,24 +120,21 @@ class TestRefineT:
 
 class TestRelabelUnmatched:
     def test_adopts_confident_label(self):
-        probs = np.array([[0.9, 0.1]])
-        th = Thresholds(np.array([0.8, 0.5]), np.array([1, 1]))
+        conf = confident_labels(np.array([[0.9, 0.1]]), np.array([0.8, 0.5]))
         cur = LabelVector(np.array([1]), np.array([True]))
-        out = relabel_unmatched(probs, th, np.array([True]), cur)
+        out = relabel_unmatched(conf, np.array([True]), cur)
         assert out.labels[0] == 0
 
     def test_keeps_prior_label_when_unconfident(self):
-        probs = np.array([[0.5, 0.5]])
-        th = Thresholds(np.array([0.8, 0.6]), np.array([1, 1]))
+        conf = confident_labels(np.array([[0.5, 0.5]]), np.array([0.8, 0.6]))
         cur = LabelVector(np.array([1]), np.array([True]))
-        out = relabel_unmatched(probs, th, np.array([True]), cur)
+        out = relabel_unmatched(conf, np.array([True]), cur)
         assert out.labels[0] == 1
 
     def test_matched_samples_untouched(self):
-        probs = np.array([[0.9, 0.1], [0.1, 0.9]])
-        th = Thresholds(np.array([0.5, 0.5]), np.array([1, 1]))
+        conf = confident_labels(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
         cur = LabelVector(np.array([1, 0]), np.array([False, True]))
-        out = relabel_unmatched(probs, th, np.array([False, True]), cur)
+        out = relabel_unmatched(conf, np.array([False, True]), cur)
         assert out.labels[0] == 1 and out.labels[1] == 1
 
     def test_unmatched_recover_gold_on_clean_data(self):
@@ -160,8 +144,8 @@ class TestRelabelUnmatched:
         plan = plan_random(ds, k=3, lambda_rate=0.0, seed=4)
         oos = estimate_oos(ds, labels, plan,
                            clf_cfg=ClassifierConfig(learning_rate=1e-1, seed=4))
-        th = class_thresholds(oos, labels)
-        out = relabel_unmatched(oos, th, ~ds.matched_mask, labels)
+        conf = confident_labels(oos.probs, class_thresholds(oos.probs, labels))
+        out = relabel_unmatched(conf, ~ds.matched_mask, labels)
         unm = ~ds.matched_mask
         assert (out.labels[unm] == ds.gold[unm]).mean() >= 0.8
 
