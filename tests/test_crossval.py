@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.crossval import (
     STRATEGIES,
+    FoldPlan,
     build_plan,
     estimate_oos,
     plan_by_lf,
@@ -283,3 +284,44 @@ class TestEstimateOos:
 
         with pytest.raises(RuntimeError, match="fold 0"):
             estimate_oos(ds, noisy_labels(ds), plan, fold_predict=broken)
+
+
+class TestFoldErrorOrder:
+    """A failing estimate raises the error of its lowest-index failing fold.
+
+    With this learning rate and l2 the weights grow geometrically, so a fold
+    diverges after a roughly fixed number of steps: the more training rows,
+    the earlier the epoch.  A two-document fold has no term in three
+    documents, so ``min_df=3`` leaves it an empty vocabulary.
+    """
+
+    CFG = ClassifierConfig(learning_rate=50.0, l2=1.0, epochs=20, patience=20, seed=3)
+
+    @staticmethod
+    def run(train_sizes):
+        ds, _ = generate(SynthConfig(n_samples=400, n_classes=2, n_lfs=8, seed=41))
+        rng = np.random.default_rng(7)
+        folds = []
+        for n in train_sizes:
+            tr = np.sort(rng.choice(400, n, replace=False))
+            folds.append((tr, np.setdiff1d(np.arange(400), tr)))
+        plan = FoldPlan("random", len(folds), folds, 0.0, 7)
+        with pytest.raises(RuntimeError) as info:
+            estimate_oos(ds, noisy_labels(ds, 41), plan, FeaturizeConfig(min_df=3),
+                         TestFoldErrorOrder.CFG)
+        return str(info.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_earlier_fold_diverging_later_wins(self):
+        # fold 2 (300 rows) diverges at epoch 7, before fold 1 (200 rows) does
+        assert self.run([60, 200, 300, 90]) == (
+            "fold 1: non-finite loss at epoch 11; learning rate too large?")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_before_later_featurization_error(self):
+        assert self.run([300, 2, 60]) == (
+            "fold 0: non-finite loss at epoch 7; learning rate too large?")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_featurization_error_before_later_divergence(self):
+        assert self.run([60, 2, 300]) == "fold 1: vocabulary is empty after min_df filtering"
