@@ -19,21 +19,29 @@ Training folds admit unmatched samples only through the lambda rate: each
 train fold takes ``min(available, floor(matched_train_size / lambda))``
 unmatched samples, seeded-random without replacement, carrying their current
 labels.
+
+``estimate_oos`` trains the fold models side by side, in groups of
+consecutive folds whose stacked training features hold at most
+``_GROUP_NNZ`` nonzeros, one ``linear.train_group`` call per group; every
+fold model is bitwise the one it would be alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
-from wsdenoise.featurize import FeaturizeConfig, fold_features
-from wsdenoise.linear import ClassifierConfig, predict_proba, train
+from wsdenoise.featurize import FeaturizeConfig, fit_rows, transform_rows
+from wsdenoise.linear import ClassifierConfig, predict_proba, train_group
 from wsdenoise.seeding import derive_seed
 
 STRATEGIES = ("random", "by_lf", "by_signature")
+# stacked training nonzeros of one fold group (~6 MB of values and indices);
+# bounds the group's memory, and a fold above it trains alone
+_GROUP_NNZ = 1 << 19
 
 
 @dataclass
@@ -135,6 +143,50 @@ def build_plan(ds: WeakDataset, strategy: str, k: int, lambda_rate: float, seed:
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
+def _fit_folds(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
+               feat_cfg: FeaturizeConfig, clf_cfg: ClassifierConfig) -> list:
+    """Each fold's ``(vocabulary, column map, model)``, or the exception that stopped it.
+
+    Consecutive folds' training features are cut and collected until the
+    next fold would take the group past ``_GROUP_NNZ`` nonzeros; then the
+    group trains in one ``train_group`` call.  Fold f trains with seed
+    ``derive_seed(clf_cfg.seed, f)``.  The list ends at the first fold whose
+    features fail or with the group in which a model fails: no later fold
+    can change which error comes first.
+    """
+    fitted, group = [], []
+
+    def train() -> bool:
+        """Train the collected group; True when one of its models failed."""
+        if not group:
+            return False
+        # the features go in as a generator, so each matrix is freed once stacked
+        models = train_group((entry.pop() for entry in group),
+                             [y[plan.folds[fi][0]] for fi, *_ in group], None, clf_cfg,
+                             [derive_seed(clf_cfg.seed, fi) for fi, *_ in group],
+                             num_classes=ds.num_classes)
+        fitted.extend(m if isinstance(m, Exception) else (vocab, columns, m)
+                      for (_, vocab, columns), m in zip(group, models))
+        group.clear()
+        return any(isinstance(m, Exception) for m in models)
+
+    nnz = 0
+    for fi, (tr, _) in enumerate(plan.folds):
+        try:
+            entry = [fi, *fit_rows(ds.term_counts, tr, feat_cfg)]
+        except Exception as exc:
+            train()
+            return fitted + [exc]
+        if group and nnz + entry[-1].nnz > _GROUP_NNZ:
+            if train():
+                return fitted
+            nnz = 0
+        nnz += entry[-1].nnz
+        group.append(entry)
+    train()
+    return fitted
+
+
 def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
                  feat_cfg: FeaturizeConfig | None = None,
                  clf_cfg: ClassifierConfig | None = None,
@@ -146,6 +198,11 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     dataset's count matrix, so no document is tokenized twice.  Samples
     tested by several folds get the arithmetic mean of their probability rows.
 
+    The fold models train first, grouped as ``_fit_folds`` describes; only
+    then are each fold's test rows cut and predicted.  A failure is raised as
+    ``fold f: ...`` for the lowest failing fold, the error running the folds
+    one after another would raise.
+
     ``fold_predict(ds, train_idx, label_array, test_idx) -> (n_test, K)``
     replaces the default TF-IDF + logistic-regression fold model; used by
     tests and audits.
@@ -154,17 +211,18 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     clf_cfg = clf_cfg or ClassifierConfig()
     y = as_labels(labels)
     n, k_classes = ds.n_samples, ds.num_classes
+    fitted = _fit_folds(ds, y, plan, feat_cfg, clf_cfg) if fold_predict is None else None
     acc = np.zeros((n, k_classes))
     cnt = np.zeros(n, dtype=np.int64)
     for fi, (tr, te) in enumerate(plan.folds):
         try:
             if fold_predict is not None:
                 p = fold_predict(ds, tr, y, te)
+            elif isinstance(fitted[fi], Exception):
+                raise fitted[fi]
             else:
-                x_tr, x_te = fold_features(ds.term_counts, tr, te, feat_cfg)
-                fold_cfg = replace(clf_cfg, seed=derive_seed(clf_cfg.seed, fi))
-                model = train(x_tr, y[tr], cfg=fold_cfg, num_classes=k_classes)
-                p = predict_proba(model, x_te)
+                vocab, columns, model = fitted[fi]
+                p = predict_proba(model, transform_rows(ds.term_counts, te, vocab, columns))
         except Exception as exc:
             raise RuntimeError(f"fold {fi}: {exc}") from exc
         acc[te] += p

@@ -11,10 +11,11 @@ distinct terms.  A dataset builds that matrix the first time
 cross-validation needs it, and ``fit_rows`` cuts features from row slices
 of it: the vocabulary comes from the document frequencies of the training
 rows, and the kept columns are scaled by idf and L2-normalized row by row.
-``fold_features`` uses it for each fold, and the final model for its
-training rows.  ``fit_vocabulary`` and ``transform`` run the
-same steps on the texts they are given; ``transform`` counts only the
-vocabulary's terms and drops the rest.
+Cross-validation uses it for each fold's training rows, and the final model
+for its own; ``transform_rows`` then cuts a fold's test rows with the fold's
+vocabulary.  ``fit_vocabulary`` and ``transform`` run the same steps on the
+texts they are given; ``transform`` counts only the vocabulary's terms and
+drops the rest.
 """
 
 from __future__ import annotations
@@ -162,11 +163,10 @@ def fit_rows(tc: TermCounts, rows: np.ndarray | None,
     return vocab, columns, _tfidf(counts, columns, vocab)
 
 
-def fold_features(tc: TermCounts, train_rows: np.ndarray, test_rows: np.ndarray,
-                  cfg: FeaturizeConfig) -> tuple[sp.csr_array, sp.csr_array]:
-    """Train and test TF-IDF matrices of one fold, with the vocabulary fitted on the train rows."""
-    vocab, columns, x_train = fit_rows(tc, train_rows, cfg)
-    return x_train, _tfidf(tc.counts[test_rows], columns, vocab)
+def transform_rows(tc: TermCounts, rows: np.ndarray, vocab: Vocabulary,
+                   columns: np.ndarray) -> sp.csr_array:
+    """TF-IDF of ``rows`` of the count matrix under a ``fit_rows`` vocabulary and column map."""
+    return _tfidf(tc.counts[rows], columns, vocab)
 
 
 def fit_vocabulary(texts: list[str], cfg: FeaturizeConfig | None = None) -> Vocabulary:

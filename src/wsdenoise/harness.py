@@ -183,8 +183,13 @@ def evaluate(pred, gold, metric: str) -> float:
 
 
 def _load_split(doc_path, gold_path, num_classes):
-    """Documents and gold labels of a dev or test split, validated like the training set."""
+    """Documents and gold labels of a dev or test split, validated like the training set.
+
+    An empty split is rejected: it would score the run on zero documents.
+    """
     ids, texts, seen = read_documents(doc_path)
+    if not ids:
+        raise ValueError(f"{doc_path}: no documents, so the split cannot be scored")
     return texts, read_gold(gold_path, ids, seen, num_classes)
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wsdenoise import crossval
 from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.crossval import (
     STRATEGIES,
@@ -15,7 +16,7 @@ from wsdenoise.crossval import (
     plan_random,
 )
 from wsdenoise.featurize import FeaturizeConfig
-from wsdenoise.linear import ClassifierConfig
+from wsdenoise.linear import ClassifierConfig, train_group
 from wsdenoise.synth import SynthConfig, generate
 
 from conftest import make_dataset, random_instance, uniform_stub
@@ -325,3 +326,52 @@ class TestFoldErrorOrder:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_featurization_error_before_later_divergence(self):
         assert self.run([60, 2, 300]) == "fold 1: vocabulary is empty after min_df filtering"
+
+
+class TestFoldGroups:
+    """Fold models train in groups bounded by their stacked training nonzeros."""
+
+    @staticmethod
+    def group_sizes(monkeypatch, ds, plan, cfg, bound=None):
+        sizes = []
+
+        def recording(features, *args, **kwargs):
+            features = list(features)
+            sizes.append(len(features))
+            return train_group(features, *args, **kwargs)
+
+        monkeypatch.setattr(crossval, "train_group", recording)
+        if bound is not None:
+            monkeypatch.setattr(crossval, "_GROUP_NNZ", bound)
+        oos = estimate_oos(ds, noisy_labels(ds, 3), plan, clf_cfg=cfg)
+        return sizes, oos
+
+    @pytest.mark.parametrize("strategy, lambda_rate", [("by_lf", 0.0), ("by_signature", 1.0)])
+    def test_grouping_leaves_probabilities_bitwise_unchanged(self, monkeypatch, strategy,
+                                                            lambda_rate):
+        ds, _ = generate(SynthConfig(n_samples=300, n_classes=3, n_lfs=8, seed=3))
+        plan = build_plan(ds, strategy, 5, lambda_rate, 3)
+        cfg = ClassifierConfig(learning_rate=0.2, l2=1e-3, seed=3)
+        alone, a = self.group_sizes(monkeypatch, ds, plan, cfg, bound=0)
+        together, b = self.group_sizes(monkeypatch, ds, plan, cfg, bound=1 << 40)
+        assert alone == [1] * 5 and together == [5]
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.prediction_count, b.prediction_count)
+
+    def test_short_documents_train_in_one_group(self, monkeypatch):
+        ds, _ = generate(SynthConfig(n_samples=2000, n_lfs=10, seed=4))
+        plan = build_plan(ds, "by_signature", 5, 0.0, 4)
+        sizes, _ = self.group_sizes(monkeypatch, ds, plan, ClassifierConfig(epochs=1))
+        assert sizes == [5]
+
+    def test_300_word_documents_train_alone(self, monkeypatch):
+        # 3000 documents of 300 words drawn from 2000 terms: each training fold
+        # holds about 2400 documents of some 280 distinct terms, over the bound
+        rng = np.random.default_rng(5)
+        terms = np.array([f"w{i}" for i in range(2000)])
+        texts = [" ".join(row) for row in terms[rng.integers(2000, size=(3000, 300))]]
+        z = np.eye(10, dtype=np.int8)[np.arange(3000) % 10]
+        ds = make_dataset(z, np.tile(np.eye(2), (5, 1)), texts=texts)
+        plan = plan_random(ds, k=5, seed=5)
+        sizes, _ = self.group_sizes(monkeypatch, ds, plan, ClassifierConfig(epochs=1))
+        assert sizes == [1] * 5

@@ -115,24 +115,28 @@ PLANS = [("by_signature", 5, 0.0), ("by_lf", 3, 1.0), ("random", 4, 2.0)]
 
 
 def _fold_digests(ds, labels, plan, feat) -> list:
-    """Digests of the train and test features every fold model receives."""
-    seen = []
+    """Digests of the train and test features every fold model receives, fold by fold."""
+    trains, tests = [], []
 
-    def fake_train(features, labels, sample_weights=None, cfg=None, num_classes=None):
-        seen.append(_csr_digest(features))
-        return num_classes
+    def fake_train_group(features, labels, sample_weights=None, cfg=None, seeds=None, *,
+                         num_classes):
+        digests = [_csr_digest(x) for x in features]
+        trains.extend(digests)
+        return [num_classes] * len(digests)
 
     def fake_predict(model, features):
-        seen.append(_csr_digest(features))
+        tests.append(_csr_digest(features))
         return np.full((features.shape[0], model), 1.0 / model)
 
-    with mock.patch.object(crossval, "train", fake_train), \
+    error = []
+    with mock.patch.object(crossval, "train_group", fake_train_group), \
             mock.patch.object(crossval, "predict_proba", fake_predict):
         try:
             estimate_oos(ds, labels, plan, feat, ClassifierConfig(seed=1))
         except RuntimeError as exc:
-            seen.append(f"error: {exc}")
-    return seen
+            error.append(f"error: {exc}")
+    # every fold trains before any predicts; pair them up in fold order
+    return [d for pair in zip(trains, tests) for d in pair] + error
 
 
 def _public_cases():

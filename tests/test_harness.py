@@ -215,6 +215,22 @@ class TestRun:
         with pytest.raises(ValueError, match=match):
             run(cfg, ds=ds)
 
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_empty_heldout_split_is_rejected_before_the_run_directory_is_touched(
+            self, tmp_path, split):
+        ds, _ = generate(SynthConfig(n_samples=60, seed=27, coverage_target=0.8))
+        out = tmp_path / "run"
+        run(RunConfig(method="baseline_majority", out_dir=str(out), **self._fast()), ds=ds)
+        before = _snapshot(out)
+        (tmp_path / "docs.tsv").write_text("")
+        (tmp_path / "gold.tsv").write_text("")
+        cfg = RunConfig(method="baseline_majority", out_dir=str(out),
+                        **{f"{split}_doc_path": str(tmp_path / "docs.tsv"),
+                           f"{split}_gold_path": str(tmp_path / "gold.tsv")}, **self._fast())
+        with pytest.raises(ValueError, match=r"docs\.tsv: no documents"):
+            run(cfg, ds=ds)
+        assert _snapshot(out) == before
+
     @pytest.mark.parametrize("method", ["ulf", "wscw", "wscl"])
     def test_fold_audit_covers_every_sample(self, tmp_path, method):
         ds, _ = generate(SynthConfig(n_samples=150, seed=28, coverage_target=0.8))
@@ -539,6 +555,18 @@ class TestCli:
         before = _snapshot(tmp_path / "run")
         with pytest.raises(ValueError, match=match):
             cli.main(args + [f"--{key}", value])
+        assert _snapshot(tmp_path / "run") == before
+
+    def test_empty_test_split_keeps_the_previous_run(self, tmp_path):
+        data = self._synth(tmp_path)
+        args = ["baseline", *self._data_args(data), "--out_dir", str(tmp_path / "run"),
+                "--epochs", "1"]
+        assert cli.main(args) == 0
+        before = _snapshot(tmp_path / "run")
+        (tmp_path / "empty.tsv").write_text("\n")
+        with pytest.raises(ValueError, match=r"empty\.tsv: no documents"):
+            cli.main(args + ["--test_doc_path", str(tmp_path / "empty.tsv"),
+                             "--test_gold_path", str(tmp_path / "empty.tsv")])
         assert _snapshot(tmp_path / "run") == before
 
     @pytest.mark.parametrize("key", ["repeats", "k", "seed"])

@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
+from wsdenoise import linear
 from wsdenoise.linear import (
     ClassifierConfig,
     Model,
     loss_and_grad,
     predict_proba,
     train,
+    train_group,
 )
 
 
@@ -159,12 +161,72 @@ class TestTrain:
         log = np.array(m.training_log)
         assert (np.diff(log) <= 1e-12).all()
 
+    def test_zero_rows_are_rejected_up_front(self):
+        with pytest.raises(ValueError, match="cannot train on zero feature rows"):
+            train(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2)
+
     def test_exploding_lr_reports_epoch(self):
         x = np.array([[1e200, -1e200], [-1e200, 1e200]] * 8)
         y = np.array([0, 1] * 8)
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
             train(x, y, cfg=ClassifierConfig(learning_rate=1e3, epochs=5,
                                              batch_size=4, seed=0), num_classes=2)
+
+
+def _same(a: Model, b: Model) -> bool:
+    return (np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+            and a.training_log == b.training_log)
+
+
+class TestTrainGroup:
+    @staticmethod
+    def members(rng, k=3):
+        out = []
+        for n, v in [(50, 9), (23, 14), (64, 6)]:
+            x = rng.random((n, v)) * (rng.random((n, v)) < 0.4)
+            y = rng.integers(k, size=n)
+            sw = rng.uniform(0.5, 2.0, size=n) * (rng.random(n) < 0.3)
+            sw[0] = 1.0
+            out.append((x, y, sw))
+        return out
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("safe, block", [(linear._SAFE, linear._BLOCK_STEPS), (0.0, 1),
+                                             (linear._SAFE, 1000)])
+    def test_each_model_equals_its_lone_fit(self, rng, monkeypatch, l2, safe, block):
+        # safe=0 sends every step through the exact per-model loss check;
+        # block sizes 1 and 1000 gather every step alone or the whole epoch at once
+        members = self.members(rng)
+        cfg = ClassifierConfig(learning_rate=0.5, epochs=5, batch_size=8, l2=l2)
+        alone = [train(x, y, sw, ClassifierConfig(**{**vars(cfg), "seed": s}), num_classes=3)
+                 for (x, y, sw), s in zip(members, [4, 5, 6])]
+        monkeypatch.setattr(linear, "_SAFE", safe)
+        monkeypatch.setattr(linear, "_BLOCK_STEPS", block)
+        x, y, sw = zip(*members)
+        group = train_group(list(x), list(y), list(sw), cfg, [4, 5, 6], num_classes=3)
+        assert all(_same(g, a) for g, a in zip(group, alone))
+
+    def test_a_failing_model_leaves_the_others_running(self, rng):
+        members = self.members(rng)
+        x, y, sw = members[1]
+        members[1] = (x * 1e200, y, sw)  # its logits overflow at its first step
+        cfg = ClassifierConfig(learning_rate=0.5, epochs=4, batch_size=8)
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError) as lone_error:
+                train(*members[1], cfg, num_classes=3)
+            x, y, sw = zip(*members)
+            group = train_group(list(x), list(y), list(sw), cfg, num_classes=3)
+        assert isinstance(group[1], RuntimeError)
+        assert str(group[1]) == str(lone_error.value)
+        for f in (0, 2):
+            assert _same(group[f], train(*members[f], cfg, num_classes=3))
+
+    def test_inputs_must_pair_up(self, rng):
+        x, y, sw = self.members(rng)[0]
+        with pytest.raises(ValueError, match="one feature matrix, label vector"):
+            train_group([x, x], [y], num_classes=3)
+        with pytest.raises(ValueError, match="one feature matrix, label vector"):
+            train_group([x], [y], [sw], seeds=[1, 2], num_classes=3)
 
 
 class TestPredictProba:

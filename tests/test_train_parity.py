@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from wsdenoise.corpus import majority_vote
 from wsdenoise.crossval import build_plan, estimate_oos
 from wsdenoise.featurize import fit_vocabulary, transform
-from wsdenoise.linear import ClassifierConfig, train
+from wsdenoise.linear import ClassifierConfig, train, train_group
 from wsdenoise.synth import SynthConfig, generate
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "train_digests.json")
@@ -177,8 +177,13 @@ def _group_cases():
 
 
 def _fit_group(members, cfg, seeds, num_classes):
-    return [train(x, y, sample_weights=w, cfg=replace(cfg, seed=s), num_classes=num_classes)
-            for (x, y, w), s in zip(members, seeds)]
+    features, labels, weights = zip(*members)
+    models = train_group(list(features), list(labels), list(weights), cfg, seeds,
+                         num_classes=num_classes)
+    alone = [train(x, y, sample_weights=w, cfg=replace(cfg, seed=s), num_classes=num_classes)
+             for (x, y, w), s in zip(members, seeds)]
+    assert [_model_digest(m) for m in models] == [_model_digest(m) for m in alone]
+    return models
 
 
 def _oos_cases():
