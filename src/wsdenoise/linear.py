@@ -24,23 +24,27 @@ in model order, leaving out batches whose weights sum to zero.  The rows of
 ``_BLOCK_STEPS`` steps at a time are gathered from the stacked array, so a
 step is the contiguous slice ``indptr[a:b + 1]`` of a gather; its offsets
 are absolute, so it shares the ``indices`` and ``data`` arrays uncopied.
-The step's logits come from one ``csr_matvecs`` call and its weight
-gradient from one ``csc_matvecs`` call on the same arrays, read as the CSC
-form of the transpose.  These are the kernels that ``x[idx] @ w`` and
-``x[idx].T @ g`` call, so every sum runs in the same order as with those
-expressions.  The kernels are imported from the private
-``scipy.sparse._sparsetools`` because the public operators spend most of a
-small batch's time building and checking objects; ``tests/test_linear.py``
-pins them against ``@``.
+Every step, of a group or of ``loss_and_grad``, is one ``_step`` call: its
+logits come from one ``csr_matvecs`` call and its weight gradient from one
+``csc_matvecs`` call on the same arrays, read as the CSC form of the
+transpose.  These are the kernels that ``x[idx] @ w`` and ``x[idx].T @ g``
+call, so every sum runs in the same order as with those expressions.  The
+kernels are imported from the private ``scipy.sparse._sparsetools`` because
+the public operators spend most of a small batch's time building and
+checking objects; ``tests/test_linear.py`` pins them against ``@``.  One
+update follows, which adds the L2 term to the blocks of the models in the
+step only: a lone model adds it at its own steps and no others.
 
 What stays per model: the permutation, the batch weight sum and the
 zero-weight-batch skip, the bias gradient (a sum over the model's own rows),
 the non-finite checks, the epoch loss, the best-epoch copy and patience.  A
-model that stops early or fails drops out of later steps, and its failure
-does not stop the others.  A step checks its losses in bulk: while its
-weighted log-probabilities and the sum of squared weights are far from
-overflow (``_SAFE``), no model's loss can be non-finite; otherwise each
-model's loss is computed as a lone model computes it.
+step checks its losses in bulk: while its weighted log-probabilities and the
+sum of squared weights are far from overflow (``_SAFE``), no model's loss
+can be non-finite; otherwise each model's loss is computed as a lone model
+computes it (``_loss``).  A model whose loss is non-finite has failed: its
+later batches of the epoch still run, on its own block, and when the epoch
+ends it drops out with its block zeroed, as a model stopped by patience
+does, so its failure does not touch the others.
 """
 
 from __future__ import annotations
@@ -90,48 +94,58 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - lse
 
 
-def _logit_grad(logp: np.ndarray, y: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The loss gradient with respect to the logits: (softmax - one-hot) times ``scale``."""
-    g = np.exp(logp)
-    g[np.arange(len(y)), y] -= 1.0
-    g *= scale[:, None]
-    return g
+def _forward(indptr, indices, data, w, bias, y, sw):
+    """Log-probabilities of the CSR rows ``indptr`` and their terms ``sw * logp[y]``.
 
-
-def _logits(indptr, indices, data, w) -> np.ndarray:
-    """``x @ w`` for the CSR rows ``indptr`` (absolute offsets into ``indices`` and ``data``)."""
+    ``indptr`` has one more entry than rows and holds absolute offsets into
+    ``indices`` and ``data``; ``bias`` is one K-vector or one per row.
+    """
     n, (v, k) = len(indptr) - 1, w.shape
-    out = np.zeros((n, k))
-    csr_matvecs(n, v, k, indptr, indices, data, w.ravel(), out.ravel())
-    return out
+    logits = np.zeros((n, k))
+    csr_matvecs(n, v, k, indptr, indices, data, w.ravel(), logits.ravel())
+    logits += bias
+    logp = _log_softmax(logits)
+    return logp, sw * logp[np.arange(n), y]
+
+
+def _step(indptr, indices, data, w, bias, y, sw, scale):
+    """One forward/backward pass over the CSR rows ``indptr``.
+
+    Returns the terms ``sw * logp[y]``, the logit gradient (softmax minus
+    one-hot, times ``scale`` per row) and the weight gradient of the data
+    term; the L2 term is the caller's.
+    """
+    logp, t = _forward(indptr, indices, data, w, bias, y, sw)
+    n, (v, k) = len(y), w.shape
+    g = np.exp(logp)
+    g[np.arange(n), y] -= 1.0
+    g *= scale[:, None]
+    gw = np.zeros((v, k))
+    csc_matvecs(v, n, k, indptr, indices, data, g.ravel(), gw.ravel())
+    return t, g, gw
+
+
+def _loss(t, wsum, weights, l2):
+    """The objective from one model's terms ``sw * logp[y]`` and their weight sum."""
+    return -t.sum() / wsum + l2 * (weights ** 2).sum()
 
 
 def loss_and_grad(weights, bias, indptr, indices, data, y, sample_weights, l2):
     """Weighted cross-entropy loss with L2 penalty, plus analytic gradients.
 
-    One SGD step of one model, written out: the batch is the CSR row block
-    ``indptr`` (one more entry than rows, absolute offsets into ``indices``
-    and ``data``); ``y`` and ``sample_weights`` hold one entry per row.
-    ``train_group`` computes the same quantities for every model of a step.
+    One SGD step of one model: the batch is the CSR row block ``indptr``
+    (one more entry than rows, absolute offsets into ``indices`` and
+    ``data``); ``y`` and ``sample_weights`` hold one entry per row.
+    ``train_group`` runs every step through the same ``_step``.
     """
-    n = len(indptr) - 1
-    v, k = weights.shape
-    logits = _logits(indptr, indices, data, weights)
-    logits += bias
-    logp = _log_softmax(logits)
     wsum = sample_weights.sum()
-    loss = -(sample_weights * logp[np.arange(n), y]).sum() / wsum
-    loss += l2 * (weights ** 2).sum()
-
-    g = _logit_grad(logp, y, sample_weights / wsum)
-    gw = np.zeros((v, k))
-    csc_matvecs(v, n, k, indptr, indices, data, g.ravel(), gw.ravel())
+    t, g, gw = _step(indptr, indices, data, weights, bias, y, sample_weights,
+                     sample_weights / wsum)
     gw += 2.0 * l2 * weights
-    gb = g.sum(axis=0)
-    return loss, gw, gb
+    return _loss(t, wsum, weights, l2), gw, g.sum(axis=0)
 
 
-def _checked(features, labels, sample_weights):
+def _checked(features, labels, sample_weights, num_classes):
     """One model's float64 CSR features, int labels and float sample weights, validated."""
     x = sp.csr_array(features, dtype=np.float64)
     y = as_labels(labels)
@@ -140,6 +154,9 @@ def _checked(features, labels, sample_weights):
         raise ValueError("cannot train on zero feature rows")
     if len(y) != n:
         raise ValueError("feature and label lengths disagree")
+    bad = y[(y < 0) | (y >= num_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for num_classes={num_classes}")
     if sample_weights is None:
         return x, y, np.ones(n)
     sw = np.asarray(sample_weights, dtype=float)
@@ -192,19 +209,19 @@ class _Fit:
 
 
 class _Epoch:
-    """An epoch's batches from step ``first`` on, in step-major order.
+    """An epoch's batches in step-major order.
 
     ``perms`` maps each running model to its epoch permutation of its own
     rows.  Batch i (in step-major order) belongs to model ``model[i]``,
     weighs ``wsum[i]``, has ``length[i]`` rows and covers positions
     ``edge[i]:edge[i + 1]`` of ``order``, the stacked rows in step-major
-    order.  The j-th step that has a batch left is epoch step ``steps[j]``
-    and holds batches ``step_ptr[j]:step_ptr[j + 1]``; ``full[j]`` says all
-    of them have ``batch_size`` rows, and ``tmax[j]`` bounds the step's
-    weighted log-probabilities for the bulk loss check.
+    order.  The j-th step that has a batch holds batches
+    ``step_ptr[j]:step_ptr[j + 1]``; ``full[j]`` says all of them have
+    ``batch_size`` rows, and ``tmax[j]`` bounds the step's weighted
+    log-probabilities for the bulk loss check.
     """
 
-    def __init__(self, sw, fits, perms, batch_size, first):
+    def __init__(self, sw, fits, perms, batch_size):
         order, model, step, wsum, length = [], [], [], [], []
         for f, perm in perms.items():
             g = perm + fits[f].rows.start
@@ -222,13 +239,12 @@ class _Epoch:
         order, model, step, wsum, length = map(np.concatenate, (order, model, step, wsum, length))
         start = np.cumsum(length) - length
         # a batch whose weights sum to zero is skipped, as a lone model skips it
-        keep = np.flatnonzero((wsum != 0) & (step >= first))
+        keep = np.flatnonzero(wsum != 0)
         keep = keep[np.argsort(step[keep], kind="stable")]
         model, step, wsum, length, start = (a[keep] for a in (model, step, wsum, length, start))
         edge = np.concatenate(([0], np.cumsum(length)))
         self.order = order[np.repeat(start - edge[:-1], length) + np.arange(edge[-1])]
         firsts = np.flatnonzero(np.diff(step, prepend=-1))
-        self.steps = step[firsts].tolist()
         self.step_ptr = np.append(firsts, keep.size).tolist()
         if keep.size:
             self.full = (np.minimum.reduceat(length, firsts) == batch_size).tolist()
@@ -241,26 +257,27 @@ class _Epoch:
         self.model, self.wsum, self.length, self.edge = model, wsum, length, edge.tolist()
 
 
-def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, n_live, cfg: ClassifierConfig):
-    """Run the steps of ``ep`` on the stacked ``x``, ``y`` and ``sw``.
+def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes, cfg: ClassifierConfig) -> set:
+    """Run the steps of ``ep`` on the stacked ``x``, ``y`` and ``sw``; return the models that failed.
 
     Rows are gathered ``_BLOCK_STEPS`` steps at a time.  A model fails when
-    its batch loss is non-finite; the step still updates the others.
-    Returns ``([], None)`` when every step ran, else the failed models and
-    the epoch step to resume at without them.
+    its batch loss is non-finite; its later batches still run, on its own
+    block of ``w`` and its own ``b`` row, so the other models never see it.
+    ``block_sizes`` counts the entries of each model's block of ``w``: the
+    L2 term reaches only the models in a step.
     """
     lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
-    v, k = w.shape
+    k = w.shape[1]
     w_flat = w.ravel()
     sptr, edge, model = ep.step_ptr, ep.edge, ep.model
+    failed = set()
     gathered = 0  # the block holds positions [first_row, gathered) of ep.order
-    for j in range(len(ep.steps)):
+    for j in range(len(sptr) - 1):
         p, q = sptr[j], sptr[j + 1]
         a, c = edge[p], edge[q]
-        n = c - a
         m = model[p:q]
         if c > gathered:
-            last = sptr[min(j + _BLOCK_STEPS, len(ep.steps))]
+            last = sptr[min(j + _BLOCK_STEPS, len(sptr) - 1)]
             first_row, gathered = a, edge[last]
             rows = ep.order[first_row:gathered]
             block = x[rows]
@@ -269,51 +286,26 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, n_live, cfg: ClassifierConfig):
             block_scale = block_sw / np.repeat(ep.wsum[p:last], ep.length[p:last])
             block_model = np.repeat(model[p:last], ep.length[p:last])
         r0, r1 = a - first_row, c - first_row
-        ptr = indptr[r0:r1 + 1]
-        logits = _logits(ptr, indices, data, w)
-        logits += b[m[0]] if q - p == 1 else b[block_model[r0:r1]]
-        logp = _log_softmax(logits)
-        yb = block_y[r0:r1]
-        t = block_sw[r0:r1] * logp[np.arange(n), yb]
-        failed = []
+        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, b[block_model[r0:r1]],
+                         block_y[r0:r1], block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
         if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
             for i in range(p, q):  # some loss may be non-finite: compute each exactly
                 f = int(model[i])
-                loss = -t[edge[i] - a:edge[i + 1] - a].sum() / ep.wsum[i]
-                loss += l2 * (w[fits[f].cols] ** 2).sum()
-                if not np.isfinite(loss):
-                    failed.append(f)
-        g = _logit_grad(logp, yb, block_scale[r0:r1])
-        gw = np.zeros((v, k))
-        csc_matvecs(v, n, k, ptr, indices, data, g.ravel(), gw.ravel())
-        if not l2:
-            w -= lr * gw  # blocks no row touched have a zero gradient
-        elif q - p == n_live:
-            gw += 2.0 * l2 * w
-            w -= lr * gw
-        else:  # update only the models in this step: the others' L2 term must wait
-            for f in m.tolist():
-                cols = fits[f].cols
-                gw[cols] += 2.0 * l2 * w[cols]
-                w[cols] -= lr * gw[cols]
+                if not np.isfinite(_loss(t[edge[i] - a:edge[i + 1] - a], ep.wsum[i],
+                                         w[fits[f].cols], l2)):
+                    failed.add(f)
+        if l2:  # 2 * l2 * w, masked to the blocks of the models in this step
+            coef = np.zeros(len(fits))
+            coef[m] = 2.0 * l2
+            gw += w * np.repeat(coef, block_sizes).reshape(w.shape)
+        w -= lr * gw  # blocks no row touched have a zero gradient
         if ep.full[j]:
             b[m] -= lr * g.reshape(q - p, batch_size, k).sum(axis=1)
         else:
             for i in range(p, q):
                 b[model[i]] -= lr * g[edge[i] - a:edge[i + 1] - a].sum(axis=0)
-        if failed:
-            return failed, ep.steps[j] + 1
-    return [], None
-
-
-def _mean_loss(logits, y, sample_weights, weights, l2):
-    logp = _log_softmax(logits)
-    wsum = sample_weights.sum()
-    return float(
-        -(sample_weights * logp[np.arange(len(y)), y]).sum() / wsum
-        + l2 * (weights ** 2).sum()
-    )
+    return failed
 
 
 def train_group(features, labels: list, sample_weights: list | None = None,
@@ -338,7 +330,7 @@ def train_group(features, labels: list, sample_weights: list | None = None,
         raise ValueError("need one feature matrix, label vector, weight vector and seed per model")
     xs, ys, sws = [], [], []
     for f in range(count):
-        x, y, sw = _checked(features[f], labels[f], weights[f])
+        x, y, sw = _checked(features[f], labels[f], weights[f], num_classes)
         features[f] = None  # from here on only xs holds the matrix
         xs.append(x)
         ys.append(y)
@@ -349,6 +341,7 @@ def train_group(features, labels: list, sample_weights: list | None = None,
     x = _stack(xs)
     fits = [_Fit(slice(rows[f], rows[f + 1]), slice(cols[f], cols[f + 1]), int(seeds[f]))
             for f in range(count)]
+    block_sizes = np.diff(cols) * int(num_classes)
 
     w = np.zeros((x.shape[1], int(num_classes)))
     b = np.zeros((count, int(num_classes)))
@@ -368,21 +361,14 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             break
         perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
                  fits[f].rows.stop - fits[f].rows.start) for f in live}
-        first = 0
-        while first is not None:
-            failed, first = _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size, first),
-                                       w, b, fits, len(live), cfg)
-            for f in failed:
-                fail(f, epoch)
-                del perms[f]
-            if not perms:
-                break
+        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b, fits,
+                            block_sizes, cfg):
+            fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
         for f in list(live):
             fit = fits[f]
             r = fit.rows
-            logits = _logits(x.indptr[r.start:r.stop + 1], x.indices, x.data, w)
-            logits += b[f]
-            epoch_loss = _mean_loss(logits, y[r], sw[r], w[fit.cols], cfg.l2)
+            _, t = _forward(x.indptr[r.start:r.stop + 1], x.indices, x.data, w, b[f], y[r], sw[r])
+            epoch_loss = float(_loss(t, sw[r].sum(), w[fit.cols], cfg.l2))
             if not np.isfinite(epoch_loss):
                 fail(f, epoch)
                 continue

@@ -72,9 +72,9 @@ def refine_t(t: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
         raise ValueError("p must lie in [0, 1]")
     t = np.asarray(t, dtype=float)
     out = t.copy()
-    for l in np.flatnonzero(q.sum(axis=1) > 0):
-        row = q[l]
-        out[l] = p * (row / row.sum()) + (1.0 - p) * t[l]
+    totals = q.sum(axis=1)
+    rows = totals > 0
+    out[rows] = p * (q[rows] / totals[rows, None]) + (1.0 - p) * t[rows]
     return out
 
 

@@ -165,6 +165,35 @@ class TestTrain:
         with pytest.raises(ValueError, match="cannot train on zero feature rows"):
             train(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_labels_are_rejected_up_front(self, bad):
+        x, y = toy_separable()
+        y_bad = y.copy()
+        y_bad[1] = bad
+        message = f"label {bad} out of range for num_classes=2"
+        with pytest.raises(ValueError, match=message):
+            train(x, y_bad, num_classes=2)
+        with pytest.raises(ValueError, match=message):
+            train_group([x, x], [y, y_bad], num_classes=2)
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("extra_rows", [0, 5])
+    def test_one_full_batch_epoch_is_one_loss_and_grad_step(self, rng, l2, extra_rows):
+        # batch_size == n takes the full-step bias sum, batch_size > n the per-batch one
+        n, v, k, lr, seed = 30, 8, 3, 0.7, 12
+        x = sp.csr_array(rng.random((n, v)) * (rng.random((n, v)) < 0.4))
+        y = rng.integers(k, size=n)
+        sw = rng.uniform(0.1, 2.0, size=n)
+        cfg = ClassifierConfig(learning_rate=lr, epochs=1, batch_size=n + extra_rows, l2=l2,
+                               seed=seed)
+        m = train(x, y, sw, cfg, num_classes=k)
+        perm = np.random.default_rng([seed, 0]).permutation(n)
+        xp = x[perm]
+        _, gw, gb = loss_and_grad(np.zeros((v, k)), np.zeros(k), xp.indptr, xp.indices,
+                                  xp.data, y[perm], sw[perm], l2)
+        assert np.array_equal(m.weights, -lr * gw)
+        assert np.array_equal(m.bias, -lr * gb)
+
     def test_exploding_lr_reports_epoch(self):
         x = np.array([[1e200, -1e200], [-1e200, 1e200]] * 8)
         y = np.array([0, 1] * 8)
@@ -206,20 +235,47 @@ class TestTrainGroup:
         group = train_group(list(x), list(y), list(sw), cfg, [4, 5, 6], num_classes=3)
         assert all(_same(g, a) for g, a in zip(group, alone))
 
-    def test_a_failing_model_leaves_the_others_running(self, rng):
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("mid_epoch", [False, True])
+    def test_a_failing_model_leaves_the_others_running(self, rng, monkeypatch, l2, mid_epoch):
         members = self.members(rng)
         x, y, sw = members[1]
-        members[1] = (x * 1e200, y, sw)  # its logits overflow at its first step
-        cfg = ClassifierConfig(learning_rate=0.5, epochs=4, batch_size=8)
+        if mid_epoch:
+            # an infinite feature in the second of its three batches of epoch 0: it
+            # fails at step 1, and its third batch shares step 2 with the others
+            perm = np.random.default_rng([0, 0]).permutation(len(y))
+            x, sw = x.copy(), sw.copy()
+            x[perm[8], 0] = np.inf
+            sw[perm[[8, 16]]] = 1.0
+        else:
+            x = x * 1e200  # its weights overflow within its first steps
+        members[1] = (x, y, sw)
+        cfg = ClassifierConfig(learning_rate=0.5, epochs=4, batch_size=8, l2=l2)
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError) as lone_error:
                 train(*members[1], cfg, num_classes=3)
+            alone = [train(*members[f], cfg, num_classes=3) for f in (0, 2)]
+
+            # mark each epoch and count the losses computed: after the failing
+            # epoch only the two epoch losses remain, no per-model step check
+            calls = []
+
+            class Epoch(linear._Epoch):
+                def __init__(self, *args):
+                    calls.append("E")
+                    super().__init__(*args)
+
+            loss = linear._loss
+            monkeypatch.setattr(linear, "_Epoch", Epoch)
+            monkeypatch.setattr(linear, "_loss", lambda *a: calls.append("l") or loss(*a))
             x, y, sw = zip(*members)
             group = train_group(list(x), list(y), list(sw), cfg, num_classes=3)
         assert isinstance(group[1], RuntimeError)
-        assert str(group[1]) == str(lone_error.value)
-        for f in (0, 2):
-            assert _same(group[f], train(*members[f], cfg, num_classes=3))
+        assert str(group[1]) == str(lone_error.value) == "non-finite loss at epoch 0; " \
+            "learning rate too large?"
+        assert all(_same(group[f], a) for f, a in zip((0, 2), alone))
+        epochs = "".join(calls).split("E")[1:]
+        assert len(epochs) == cfg.epochs and epochs[1:] == ["ll"] * (cfg.epochs - 1)
 
     def test_inputs_must_pair_up(self, rng):
         x, y, sw = self.members(rng)[0]

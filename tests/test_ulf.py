@@ -3,6 +3,7 @@ import pytest
 
 from wsdenoise.confidence import (
     NO_LABEL,
+    calibrate_rows,
     class_thresholds,
     confident_labels,
 )
@@ -116,6 +117,19 @@ class TestRefineT:
             assert (out >= 0).all() and (out <= 1).all()
         mid = 0.5 * outs[0.0] + 0.5 * outs[1.0]
         np.testing.assert_allclose(outs[0.5], mid, atol=1e-12)
+
+    def test_equals_the_row_by_row_mix_bitwise(self, rng):
+        for _ in range(200):
+            n_lfs, k = int(rng.integers(1, 20)), int(rng.integers(2, 14))
+            counts = rng.integers(0, 40, size=(n_lfs, k)) * (rng.random((n_lfs, k)) < 0.6)
+            counts[rng.random(n_lfs) < 0.3] = 0
+            q = calibrate_rows(counts, rng.integers(1, 400, size=n_lfs).astype(float))
+            t = rng.dirichlet(np.ones(k), size=n_lfs)
+            p = float(rng.choice([0.0, 1.0, rng.random()]))
+            expected = t.copy()
+            for l in np.flatnonzero(q.sum(axis=1) > 0):
+                expected[l] = p * (q[l] / q[l].sum()) + (1.0 - p) * t[l]
+            assert refine_t(t, q, p).tobytes() == expected.tobytes()
 
 
 class TestRelabelUnmatched:
