@@ -87,11 +87,10 @@ class WeakDataset:
 
     def signatures(self) -> list[tuple[int, ...]]:
         """Per sample, the sorted LF indices it matched (may be empty)."""
-        csr = self.z.tocsr()
-        out = []
-        for i in range(self.n_samples):
-            out.append(tuple(int(j) for j in np.sort(csr.indices[csr.indptr[i]:csr.indptr[i + 1]])))
-        return out
+        csr = self.z.tocsr(copy=True)
+        csr.sort_indices()  # on a copy: the order of Z's own entries stays as it was
+        lfs, ptr = csr.indices.tolist(), csr.indptr.tolist()
+        return [tuple(lfs[ptr[i]:ptr[i + 1]]) for i in range(self.n_samples)]
 
 
 @dataclass
@@ -110,8 +109,16 @@ class LabelVector:
 
 
 def as_labels(labels) -> np.ndarray:
-    """Integer label array from a ``LabelVector`` of weak labels or an array-like."""
-    return np.asarray(getattr(labels, "labels", labels), dtype=np.int64)
+    """Integer label array from a ``LabelVector`` of weak labels or an array-like.
+
+    Raises ``ValueError`` on a label that is not a whole number.
+    """
+    a = np.asarray(getattr(labels, "labels", labels))
+    if a.dtype.kind == "f":
+        bad = a[~np.isfinite(a) | (a != np.round(a))]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} is not a whole number")
+    return a.astype(np.int64)
 
 
 @dataclass

@@ -21,23 +21,34 @@ before it, so its rows touch only its own block of the stacked weights.
 Each epoch draws every model's permutation from (seed_f, epoch) and orders
 the batches step-major: step s holds batch s of every model that has one,
 in model order, leaving out batches whose weights sum to zero.  The rows of
-``_BLOCK_STEPS`` steps at a time are gathered from the stacked array, so a
-step is the contiguous slice ``indptr[a:b + 1]`` of a gather; its offsets
-are absolute, so it shares the ``indices`` and ``data`` arrays uncopied.
-Every step, of a group or of ``loss_and_grad``, is one ``_step`` call: its
-logits come from one ``csr_matvecs`` call and its weight gradient from one
-``csc_matvecs`` call on the same arrays, read as the CSC form of the
-transpose.  These are the kernels that ``x[idx] @ w`` and ``x[idx].T @ g``
-call, so every sum runs in the same order as with those expressions.  The
-kernels are imported from the private ``scipy.sparse._sparsetools`` because
-the public operators spend most of a small batch's time building and
-checking objects; ``tests/test_linear.py`` pins them against ``@``.  One
-update follows, which adds the L2 term to the blocks of the models in the
-step only: a lone model adds it at its own steps and no others.
+``_BLOCK_STEPS`` steps at a time are gathered from the stacked array by
+``csr_row_index``, the kernel that ``x[rows]`` calls, so a step is the
+contiguous slice ``indptr[a:b + 1]`` of a gather; its offsets are absolute,
+so it shares the ``indices`` and ``data`` arrays uncopied.  Every step, of a
+group or of ``loss_and_grad``, is one ``_step`` call: its logits come from
+one ``csr_matvecs`` call and its weight gradient from one ``csc_matvecs``
+call on the same arrays, read as the CSC form of the transpose.  These are
+the kernels that ``x[idx] @ w`` and ``x[idx].T @ g`` call, so every sum runs
+in the same order as with those expressions.  The kernels are imported from
+the private ``scipy.sparse._sparsetools`` because the public operators spend
+most of a small batch's time building and checking objects;
+``tests/test_linear.py`` pins them against ``@`` and ``x[rows]``.
+
+A step's logits buffer is its own, so the log-softmax runs in place on it
+and the exponential then turns it into the logit gradient.  The row maximum
+and the row sum of exponentials are left folds over the K columns
+(``_row_reduce``): on a few hundred rows of a few classes that takes a few
+calls where numpy's axis-1 reduction is several times slower, and gives the
+same bits.  From K = 8 on, numpy's pairwise sum is no left fold, so there
+the reduction itself runs.  One update follows, which adds the L2 term to
+the blocks of the models in the step only: a lone model adds it at its own
+steps and no others.  After the steps, one forward pass over the stacked
+rows from the first live model's to the last one's, each row with its own
+model's bias, gives every live model's epoch-loss terms at once.
 
 What stays per model: the permutation, the batch weight sum and the
 zero-weight-batch skip, the bias gradient (a sum over the model's own rows),
-the non-finite checks, the epoch loss, the best-epoch copy and patience.  A
+the non-finite checks, the epoch loss sum, the best-epoch copy and patience.  A
 step checks its losses in bulk: while its weighted log-probabilities and the
 sum of squared weights are far from overflow (``_SAFE``), no model's loss
 can be non-finite; otherwise each model's loss is computed as a lone model
@@ -53,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs, csr_row_index
 
 from wsdenoise.corpus import as_labels
 
@@ -88,14 +99,38 @@ class Model:
     training_log: list = field(default_factory=list)
 
 
+def _row_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1, keepdims=True)`` bit for bit, in fewer calls on narrow rows.
+
+    For 2 <= K < 8 this folds the columns left to right, one call per column,
+    which on a few hundred rows is several times faster than the axis-1
+    reduction.  numpy's pairwise summation unrolls by 8, so at K >= 8 its sum
+    is no left fold and the reduction itself runs.  The fold gives the
+    reduction's bits for ``np.maximum``, and for ``np.add`` on every row but
+    one of negative zeros only, whose fold is -0.0 where the reduction gives
+    0.0; the sums of exponentials that ``_log_softmax`` folds have no such row.
+    """
+    k = a.shape[1]
+    if not 2 <= k < 8:
+        return ufunc.reduce(a, axis=1, keepdims=True)
+    out = ufunc(a[:, :1], a[:, 1:2])
+    for j in range(2, k):
+        ufunc(out, a[:, j:j + 1], out=out)
+    return out
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    return logits - lse
+    """Row-wise log-softmax, written over ``logits``, which the caller owns."""
+    m = _row_reduce(np.maximum, logits)
+    e = logits - m
+    lse = _row_reduce(np.add, np.exp(e, out=e))
+    np.add(m, np.log(lse, out=lse), out=lse)
+    logits -= lse
+    return logits
 
 
 def _forward(indptr, indices, data, w, bias, y, sw):
-    """Log-probabilities of the CSR rows ``indptr`` and their terms ``sw * logp[y]``.
+    """Log-probabilities of CSR rows ``indptr``, the labels' flat positions and ``sw * logp[y]``.
 
     ``indptr`` has one more entry than rows and holds absolute offsets into
     ``indices`` and ``data``; ``bias`` is one K-vector or one per row.
@@ -105,7 +140,8 @@ def _forward(indptr, indices, data, w, bias, y, sw):
     csr_matvecs(n, v, k, indptr, indices, data, w.ravel(), logits.ravel())
     logits += bias
     logp = _log_softmax(logits)
-    return logp, sw * logp[np.arange(n), y]
+    at = np.arange(0, n * k, k) + y
+    return logp, at, sw * logp.ravel()[at]
 
 
 def _step(indptr, indices, data, w, bias, y, sw, scale):
@@ -115,13 +151,13 @@ def _step(indptr, indices, data, w, bias, y, sw, scale):
     one-hot, times ``scale`` per row) and the weight gradient of the data
     term; the L2 term is the caller's.
     """
-    logp, t = _forward(indptr, indices, data, w, bias, y, sw)
-    n, (v, k) = len(y), w.shape
-    g = np.exp(logp)
-    g[np.arange(n), y] -= 1.0
+    logp, at, t = _forward(indptr, indices, data, w, bias, y, sw)
+    v, k = w.shape
+    g = np.exp(logp, out=logp)
+    g.ravel()[at] -= 1.0
     g *= scale[:, None]
     gw = np.zeros((v, k))
-    csc_matvecs(v, n, k, indptr, indices, data, g.ravel(), gw.ravel())
+    csc_matvecs(v, len(y), k, indptr, indices, data, g.ravel(), gw.ravel())
     return t, g, gw
 
 
@@ -257,14 +293,29 @@ class _Epoch:
         self.model, self.wsum, self.length, self.edge = model, wsum, length, edge.tolist()
 
 
-def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes, cfg: ClassifierConfig) -> set:
+def _gather(x, lengths, rows):
+    """The CSR arrays of ``x[rows]``; ``lengths[i]`` counts the entries of row i of ``x``.
+
+    ``rows`` must have the dtype of ``x.indptr`` and ``x.indices``.  This is
+    the kernel and the ``indptr`` that ``x[rows]`` builds, without its checks.
+    """
+    indptr = np.zeros(len(rows) + 1, dtype=rows.dtype)
+    np.cumsum(lengths[rows], out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=rows.dtype), np.empty(indptr[-1])
+    csr_row_index(len(rows), rows, x.indptr, x.indices, x.data, indices, data)
+    return indptr, indices, data
+
+
+def _run_steps(x, lengths, y, sw, ep: _Epoch, w, b, fits, block_sizes,
+               cfg: ClassifierConfig) -> set:
     """Run the steps of ``ep`` on the stacked ``x``, ``y`` and ``sw``; return the models that failed.
 
-    Rows are gathered ``_BLOCK_STEPS`` steps at a time.  A model fails when
-    its batch loss is non-finite; its later batches still run, on its own
-    block of ``w`` and its own ``b`` row, so the other models never see it.
-    ``block_sizes`` counts the entries of each model's block of ``w``: the
-    L2 term reaches only the models in a step.
+    Rows are gathered ``_BLOCK_STEPS`` steps at a time; ``lengths`` counts
+    the entries of each row of ``x``.  A model fails when its batch loss is
+    non-finite; its later batches still run, on its own block of ``w`` and
+    its own ``b`` row, so the other models never see it.  ``block_sizes``
+    counts the entries of each model's block of ``w``: the L2 term reaches
+    only the models in a step.
     """
     lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
     k = w.shape[1]
@@ -279,14 +330,14 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes, cfg: ClassifierCon
         if c > gathered:
             last = sptr[min(j + _BLOCK_STEPS, len(sptr) - 1)]
             first_row, gathered = a, edge[last]
-            rows = ep.order[first_row:gathered]
-            block = x[rows]
-            indptr, indices, data = block.indptr, block.indices, block.data
+            rows = ep.order[first_row:gathered].astype(x.indptr.dtype, copy=False)
+            indptr, indices, data = _gather(x, lengths, rows)
             block_y, block_sw = y[rows], sw[rows]
             block_scale = block_sw / np.repeat(ep.wsum[p:last], ep.length[p:last])
             block_model = np.repeat(model[p:last], ep.length[p:last])
         r0, r1 = a - first_row, c - first_row
-        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, b[block_model[r0:r1]],
+        bias = b[m].repeat(batch_size, axis=0) if ep.full[j] else b[block_model[r0:r1]]
+        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, bias,
                          block_y[r0:r1], block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
         if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
@@ -299,7 +350,8 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes, cfg: ClassifierCon
             coef = np.zeros(len(fits))
             coef[m] = 2.0 * l2
             gw += w * np.repeat(coef, block_sizes).reshape(w.shape)
-        w -= lr * gw  # blocks no row touched have a zero gradient
+        gw *= lr
+        w -= gw  # blocks no row touched have a zero gradient
         if ep.full[j]:
             b[m] -= lr * g.reshape(q - p, batch_size, k).sum(axis=1)
         else:
@@ -341,7 +393,9 @@ def train_group(features, labels: list, sample_weights: list | None = None,
     x = _stack(xs)
     fits = [_Fit(slice(rows[f], rows[f + 1]), slice(cols[f], cols[f + 1]), int(seeds[f]))
             for f in range(count)]
+    sizes = np.diff(rows)
     block_sizes = np.diff(cols) * int(num_classes)
+    lengths = np.diff(x.indptr)
 
     w = np.zeros((x.shape[1], int(num_classes)))
     b = np.zeros((count, int(num_classes)))
@@ -361,14 +415,23 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             break
         perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
                  fits[f].rows.stop - fits[f].rows.start) for f in live}
-        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b, fits,
-                            block_sizes, cfg):
+        for f in _run_steps(x, lengths, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b,
+                            fits, block_sizes, cfg):
             fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
+        if not live:
+            break
+        # every live model's epoch loss from one pass over the rows from the
+        # first live model's to the last one's; rows are independent, so each
+        # model's terms come out as they would alone
+        f0, f1 = live[0], live[-1] + 1
+        lo, hi = rows[f0], rows[f1]
+        _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w,
+                           np.repeat(b[f0:f1], sizes[f0:f1], axis=0), y[lo:hi], sw[lo:hi])
         for f in list(live):
             fit = fits[f]
             r = fit.rows
-            _, t = _forward(x.indptr[r.start:r.stop + 1], x.indices, x.data, w, b[f], y[r], sw[r])
-            epoch_loss = float(_loss(t, sw[r].sum(), w[fit.cols], cfg.l2))
+            epoch_loss = float(_loss(t[r.start - lo:r.stop - lo], sw[r].sum(), w[fit.cols],
+                                     cfg.l2))
             if not np.isfinite(epoch_loss):
                 fail(f, epoch)
                 continue

@@ -3,11 +3,13 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wsdenoise.corpus import (
+    WeakDataset,
     dataset_stats,
     load_dataset,
     majority_vote,
@@ -221,3 +223,31 @@ class TestDatasetStats:
         s = dataset_stats(ds, repeats=3, seed=0)
         mean, std = s.majority_accuracy
         assert 0.0 <= mean <= 1.0 and std >= 0.0
+
+
+class TestSignatures:
+    @staticmethod
+    def per_row_signatures(z):
+        """The per-row sort that ``signatures`` replaced, kept as the reference."""
+        csr = z.tocsr()
+        return [tuple(int(j) for j in np.sort(csr.indices[csr.indptr[i]:csr.indptr[i + 1]]))
+                for i in range(z.shape[0])]
+
+    def test_equals_the_per_row_sort(self, rng):
+        n, l = 60, 9
+        dense = (rng.random((n, l)) < 0.3).astype(np.int8)
+        dense[[0, 7, 8, 59]] = 0  # empty rows, including a run of them
+        z = sp.csr_array(dense)
+        # reverse each row's entries: unsorted indices
+        order = np.concatenate([np.arange(z.indptr[i + 1] - 1, z.indptr[i] - 1, -1)
+                                for i in range(n)])
+        z = sp.csr_array((z.data[order], z.indices[order], z.indptr), shape=(n, l))
+        assert not z.has_sorted_indices
+        indices = z.indices.copy()
+        ds = WeakDataset(texts=["doc"] * n, ids=[str(i) for i in range(n)], z=z,
+                         t=np.eye(l, 3), num_classes=3)
+        sigs = ds.signatures()
+        assert sigs == self.per_row_signatures(z)
+        assert sigs[0] == sigs[7] == sigs[59] == ()
+        assert all(type(j) is int for sig in sigs for j in sig)
+        assert np.array_equal(ds.z.indices, indices)  # Z itself keeps its entry order

@@ -98,6 +98,70 @@ class TestSparseKernels:
                 "kernel changed, so linear.train no longer matches x.T @ g")
 
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_row_gather_matches_fancy_index(self, rng, index_dtype):
+        n, v = 30, 11
+        dense = rng.normal(size=(n, v)) * (rng.random((n, v)) < 0.4)
+        dense[[0, 4, 5, 29]] = 0.0  # empty rows, including a run of them
+        c = sp.csr_array(dense)
+        x = sp.csr_array((c.data, c.indices.astype(index_dtype),
+                          c.indptr.astype(index_dtype)), shape=c.shape)
+        lengths = np.diff(x.indptr)
+        for rows in ([4], [0, 5, 4], [3, 3, 3], [29, 1, 1, 0, 17, 5, 5],
+                     rng.integers(n, size=200), rng.permutation(n)):
+            rows = np.asarray(rows, dtype=index_dtype)
+            indptr, indices, data = linear._gather(x, lengths, rows)
+            expected = x[rows]
+            assert indptr.dtype == indices.dtype == index_dtype
+            assert np.array_equal(indptr, expected.indptr), (
+                "csr_row_index's indptr differs from x[rows]: scipy's gather changed")
+            assert np.array_equal(indices, expected.indices)
+            assert np.array_equal(data, expected.data)
+
+
+def _parent_log_softmax(logits):
+    """The axis-1 log-softmax the column folds replaced, kept as the reference."""
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    return logits - lse
+
+
+def _wide_range_values(rng, shape):
+    """Signed magnitudes from 1e-300 to 1e300, with zeros of both signs, infinities and NaNs."""
+    a = 10.0 ** rng.uniform(-300, 300, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        a[rng.random(shape) < 0.04] = value
+    return a
+
+
+class TestRowReductions:
+    """The column folds must give the bits of numpy's axis-1 reductions."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_column_fold_equals_axis_one_reduce(self, rng, k):
+        for n in (1, 7, 160, 2000):
+            a = _wide_range_values(rng, (n, k))
+            # a sum made only of negative zeros is the one case the add fold
+            # rounds differently; sums of exponentials have none
+            summed = np.where(a == 0, 0.0, a)
+            with np.errstate(all="ignore"):
+                for ufunc, values in ((np.maximum, a), (np.add, summed)):
+                    got = linear._row_reduce(ufunc, values)
+                    expected = ufunc.reduce(values, axis=1, keepdims=True)
+                    assert got.shape == expected.shape == (n, 1)
+                    assert got.tobytes() == expected.tobytes(), (ufunc.__name__, n)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_log_softmax_equals_the_axis_one_formula(self, rng, k):
+        n = 300
+        logits = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        logits[::7] = _wide_range_values(rng, (len(logits[::7]), k))
+        with np.errstate(all="ignore"):
+            expected = _parent_log_softmax(logits)
+            got = linear._log_softmax(logits.copy())
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         x, y = toy_separable()
@@ -175,6 +239,22 @@ class TestTrain:
             train(x, y_bad, num_classes=2)
         with pytest.raises(ValueError, match=message):
             train_group([x, x], [y, y_bad], num_classes=2)
+
+    @pytest.mark.parametrize("labels, bad", [([0, 1.7, 0.2, 1], "1.7"),
+                                             ([0, 1, np.nan, 1], "nan")])
+    def test_labels_that_are_not_whole_numbers_are_rejected(self, labels, bad):
+        x, y = toy_separable()
+        message = f"label {bad} is not a whole number"
+        with pytest.raises(ValueError, match=message):
+            train(x, labels, num_classes=2)
+        with pytest.raises(ValueError, match=message):
+            train_group([x, x], [y, labels], num_classes=2)
+
+    def test_whole_float_labels_train_as_integers(self):
+        x, y = toy_separable()
+        cfg = ClassifierConfig(learning_rate=1e-1, epochs=3, seed=0)
+        assert _same(train(x, y.astype(float), cfg=cfg, num_classes=2),
+                     train(x, y, cfg=cfg, num_classes=2))
 
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     @pytest.mark.parametrize("extra_rows", [0, 5])
@@ -277,6 +357,15 @@ class TestTrainGroup:
         epochs = "".join(calls).split("E")[1:]
         assert len(epochs) == cfg.epochs and epochs[1:] == ["ll"] * (cfg.epochs - 1)
 
+    def test_more_than_eight_classes_equal_lone_fits(self, rng):
+        # K >= 8 takes numpy's axis-1 reductions, over every live model's rows at once
+        members = self.members(rng, k=9)
+        cfg = ClassifierConfig(learning_rate=0.5, epochs=3, batch_size=8)
+        alone = [train(x, y, sw, cfg, num_classes=9) for x, y, sw in members]
+        x, y, sw = zip(*members)
+        group = train_group(list(x), list(y), list(sw), cfg, num_classes=9)
+        assert all(_same(g, a) for g, a in zip(group, alone))
+
     def test_inputs_must_pair_up(self, rng):
         x, y, sw = self.members(rng)[0]
         with pytest.raises(ValueError, match="one feature matrix, label vector"):
@@ -300,3 +389,47 @@ class TestPredictProba:
         m = Model(weights=rng.normal(size=(8, 5)), bias=rng.normal(size=5))
         p = predict_proba(m, rng.normal(size=(1000, 8)))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestInputsAreLeftAlone:
+    """The log-softmax works in place; it may write only to buffers it allocated."""
+
+    @staticmethod
+    def snapshot(*arrays):
+        return [np.array(a, copy=True) for a in arrays]
+
+    def test_loss_and_grad(self, rng):
+        x = sp.csr_array(rng.random((12, 5)) * (rng.random((12, 5)) < 0.5))
+        w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
+        y, sw = rng.integers(3, size=12), rng.uniform(0.1, 2.0, size=12)
+        inputs = (w, b, x.indptr, x.indices, x.data, y, sw)
+        before = self.snapshot(*inputs)
+        loss_and_grad(*inputs, 1e-3)
+        assert all(np.array_equal(a, c) for a, c in zip(inputs, before))
+
+    def test_train_group(self, rng):
+        members = TestTrainGroup.members(rng)
+        features = [sp.csr_array(members[0][0]), members[1][0], sp.csr_array(members[2][0])]
+        labels = [members[0][1], members[1][1].astype(float), list(members[2][1])]
+        weights = [m[2] for m in members]
+        before = [self.snapshot(x.indptr, x.indices, x.data) if sp.issparse(x)
+                  else self.snapshot(x) for x in features]
+        before_labels, before_weights = self.snapshot(*labels[:2]), self.snapshot(*weights)
+        train_group(features, labels, weights, ClassifierConfig(learning_rate=0.5, epochs=3,
+                                                                batch_size=8), num_classes=3)
+        for x, old in zip(features, before):
+            now = (x.indptr, x.indices, x.data) if sp.issparse(x) else (x,)
+            assert all(np.array_equal(a, c) for a, c in zip(now, old))
+        assert all(np.array_equal(a, c) for a, c in zip(labels[:2], before_labels))
+        assert labels[2] == list(members[2][1])
+        assert all(np.array_equal(a, c) for a, c in zip(weights, before_weights))
+
+    def test_predict_proba(self, rng):
+        m = Model(weights=rng.normal(size=(6, 3)), bias=rng.normal(size=3))
+        dense = rng.random((10, 6))
+        x = sp.csr_array(dense)
+        before = self.snapshot(m.weights, m.bias, dense, x.indptr, x.indices, x.data)
+        predict_proba(m, dense)
+        predict_proba(m, x)
+        after = (m.weights, m.bias, dense, x.indptr, x.indices, x.data)
+        assert all(np.array_equal(a, c) for a, c in zip(after, before))
