@@ -241,7 +241,7 @@ class TestTrain:
             train_group([x, x], [y, y_bad], num_classes=2)
 
     @pytest.mark.parametrize("labels, bad", [([0, 1.7, 0.2, 1], "1.7"),
-                                             ([0, 1, np.nan, 1], "nan")])
+                                             ([0, 1, np.nan, 1], "nan")], ids=["1.7", "nan"])
     def test_labels_that_are_not_whole_numbers_are_rejected(self, labels, bad):
         x, y = toy_separable()
         message = f"label {bad} is not a whole number"
