@@ -43,8 +43,9 @@ same bits.  From K = 8 on, numpy's pairwise sum is no left fold, so there
 the reduction itself runs.  One update follows, which adds the L2 term to
 the blocks of the models in the step only: a lone model adds it at its own
 steps and no others.  After the steps, one forward pass over the stacked
-rows from the first live model's to the last one's, each row with its own
-model's bias, gives every live model's epoch-loss terms at once.
+rows of each run of consecutive live models, each row with its own model's
+bias, gives the epoch-loss terms of every model in the run at once; the rows
+of a model that patience stopped or that failed are not computed.
 
 What stays per model: the permutation, the batch weight sum and the
 zero-weight-batch skip, the bias gradient (a sum over the model's own rows),
@@ -293,29 +294,28 @@ class _Epoch:
         self.model, self.wsum, self.length, self.edge = model, wsum, length, edge.tolist()
 
 
-def _gather(x, lengths, rows):
-    """The CSR arrays of ``x[rows]``; ``lengths[i]`` counts the entries of row i of ``x``.
+def _gather(x, rows):
+    """The CSR arrays of ``x[rows]``.
 
     ``rows`` must have the dtype of ``x.indptr`` and ``x.indices``.  This is
     the kernel and the ``indptr`` that ``x[rows]`` builds, without its checks.
     """
     indptr = np.zeros(len(rows) + 1, dtype=rows.dtype)
-    np.cumsum(lengths[rows], out=indptr[1:])
+    np.cumsum(x.indptr[rows + 1] - x.indptr[rows], out=indptr[1:])
     indices, data = np.empty(indptr[-1], dtype=rows.dtype), np.empty(indptr[-1])
     csr_row_index(len(rows), rows, x.indptr, x.indices, x.data, indices, data)
     return indptr, indices, data
 
 
-def _run_steps(x, lengths, y, sw, ep: _Epoch, w, b, fits, block_sizes,
+def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes,
                cfg: ClassifierConfig) -> set:
     """Run the steps of ``ep`` on the stacked ``x``, ``y`` and ``sw``; return the models that failed.
 
-    Rows are gathered ``_BLOCK_STEPS`` steps at a time; ``lengths`` counts
-    the entries of each row of ``x``.  A model fails when its batch loss is
-    non-finite; its later batches still run, on its own block of ``w`` and
-    its own ``b`` row, so the other models never see it.  ``block_sizes``
-    counts the entries of each model's block of ``w``: the L2 term reaches
-    only the models in a step.
+    Rows are gathered ``_BLOCK_STEPS`` steps at a time.  A model fails when
+    its batch loss is non-finite; its later batches still run, on its own
+    block of ``w`` and its own ``b`` row, so the other models never see it.
+    ``block_sizes`` counts the entries of each model's block of ``w``: the
+    L2 term reaches only the models in a step.
     """
     lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
     k = w.shape[1]
@@ -331,13 +331,12 @@ def _run_steps(x, lengths, y, sw, ep: _Epoch, w, b, fits, block_sizes,
             last = sptr[min(j + _BLOCK_STEPS, len(sptr) - 1)]
             first_row, gathered = a, edge[last]
             rows = ep.order[first_row:gathered].astype(x.indptr.dtype, copy=False)
-            indptr, indices, data = _gather(x, lengths, rows)
+            indptr, indices, data = _gather(x, rows)
             block_y, block_sw = y[rows], sw[rows]
             block_scale = block_sw / np.repeat(ep.wsum[p:last], ep.length[p:last])
             block_model = np.repeat(model[p:last], ep.length[p:last])
         r0, r1 = a - first_row, c - first_row
-        bias = b[m].repeat(batch_size, axis=0) if ep.full[j] else b[block_model[r0:r1]]
-        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, bias,
+        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, b[block_model[r0:r1]],
                          block_y[r0:r1], block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
         if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
@@ -358,6 +357,12 @@ def _run_steps(x, lengths, y, sw, ep: _Epoch, w, b, fits, block_sizes,
             for i in range(p, q):
                 b[model[i]] -= lr * g[edge[i] - a:edge[i + 1] - a].sum(axis=0)
     return failed
+
+
+def _runs(fs: list) -> list:
+    """The runs of consecutive integers in the increasing list ``fs``, as (first, last + 1) pairs."""
+    cut = [i for i in range(1, len(fs)) if fs[i] != fs[i - 1] + 1]
+    return [(fs[a], fs[c - 1] + 1) for a, c in zip([0] + cut, cut + [len(fs)])]
 
 
 def train_group(features, labels: list, sample_weights: list | None = None,
@@ -395,7 +400,6 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             for f in range(count)]
     sizes = np.diff(rows)
     block_sizes = np.diff(cols) * int(num_classes)
-    lengths = np.diff(x.indptr)
 
     w = np.zeros((x.shape[1], int(num_classes)))
     b = np.zeros((count, int(num_classes)))
@@ -415,23 +419,24 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             break
         perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
                  fits[f].rows.stop - fits[f].rows.start) for f in live}
-        for f in _run_steps(x, lengths, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b,
+        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b,
                             fits, block_sizes, cfg):
             fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
         if not live:
             break
-        # every live model's epoch loss from one pass over the rows from the
-        # first live model's to the last one's; rows are independent, so each
-        # model's terms come out as they would alone
-        f0, f1 = live[0], live[-1] + 1
-        lo, hi = rows[f0], rows[f1]
-        _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w,
-                           np.repeat(b[f0:f1], sizes[f0:f1], axis=0), y[lo:hi], sw[lo:hi])
+        # the epoch-loss terms of each run of consecutive live models from one
+        # pass over its rows; rows are independent, so each model's terms come
+        # out as they would alone
+        terms = {}
+        for f0, f1 in _runs(live):
+            lo, hi = rows[f0], rows[f1]
+            _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w,
+                               np.repeat(b[f0:f1], sizes[f0:f1], axis=0), y[lo:hi], sw[lo:hi])
+            for f in range(f0, f1):
+                terms[f] = t[rows[f] - lo:rows[f + 1] - lo]
         for f in list(live):
             fit = fits[f]
-            r = fit.rows
-            epoch_loss = float(_loss(t[r.start - lo:r.stop - lo], sw[r].sum(), w[fit.cols],
-                                     cfg.l2))
+            epoch_loss = float(_loss(terms[f], sw[fit.rows].sum(), w[fit.cols], cfg.l2))
             if not np.isfinite(epoch_loss):
                 fail(f, epoch)
                 continue

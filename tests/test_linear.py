@@ -106,11 +106,10 @@ class TestSparseKernels:
         c = sp.csr_array(dense)
         x = sp.csr_array((c.data, c.indices.astype(index_dtype),
                           c.indptr.astype(index_dtype)), shape=c.shape)
-        lengths = np.diff(x.indptr)
         for rows in ([4], [0, 5, 4], [3, 3, 3], [29, 1, 1, 0, 17, 5, 5],
                      rng.integers(n, size=200), rng.permutation(n)):
             rows = np.asarray(rows, dtype=index_dtype)
-            indptr, indices, data = linear._gather(x, lengths, rows)
+            indptr, indices, data = linear._gather(x, rows)
             expected = x[rows]
             assert indptr.dtype == indices.dtype == index_dtype
             assert np.array_equal(indptr, expected.indptr), (
@@ -365,6 +364,45 @@ class TestTrainGroup:
         x, y, sw = zip(*members)
         group = train_group(list(x), list(y), list(sw), cfg, num_classes=9)
         assert all(_same(g, a) for g, a in zip(group, alone))
+
+    @pytest.mark.parametrize("live, runs", [
+        ([0], [(0, 1)]), ([0, 1, 2], [(0, 3)]), ([0, 2], [(0, 1), (2, 3)]),
+        ([1, 2, 4, 7, 8], [(1, 3), (4, 5), (7, 9)])])
+    def test_epoch_loss_passes_skip_stopped_models(self, live, runs):
+        # each run of consecutive live models is one forward pass; the rows of
+        # a stopped or failed model between them are not computed
+        assert linear._runs(live) == runs
+
+    def test_epoch_loss_passes_leave_out_a_dropped_model(self, rng, monkeypatch):
+        # once the middle model has failed, each epoch's loss passes cover the
+        # 50 rows of the first model and the 64 of the last, not the 137 of all
+        members = self.members(rng)
+        x, y, sw = members[1]
+        members[1] = (x * 1e200, y, sw)
+        passes, in_step = [], []
+        forward, step = linear._forward, linear._step
+
+        def spy_step(*a):
+            in_step.append(1)
+            try:
+                return step(*a)
+            finally:
+                in_step.pop()
+
+        def spy_forward(indptr, *a):
+            if not in_step:
+                passes.append(len(indptr) - 1)
+            return forward(indptr, *a)
+
+        monkeypatch.setattr(linear, "_step", spy_step)
+        monkeypatch.setattr(linear, "_forward", spy_forward)
+        x, y, sw = zip(*members)
+        with np.errstate(all="ignore"):
+            group = train_group(list(x), list(y), list(sw),
+                                ClassifierConfig(learning_rate=0.5, epochs=3, batch_size=8),
+                                num_classes=3)
+        assert isinstance(group[1], RuntimeError)
+        assert passes == [50, 64] * 3
 
     def test_inputs_must_pair_up(self, rng):
         x, y, sw = self.members(rng)[0]
