@@ -123,10 +123,13 @@ def _cmd_synth(values: dict) -> int:
     for key, raw in values.items():
         if key == "misallocated_lfs":
             pairs = []
-            if raw:
-                for item in raw.split(","):
-                    lf, cls = item.split(":")
+            for item in raw.split(",") if raw else []:
+                lf, _, cls = item.partition(":")
+                try:
                     pairs.append((int(lf), int(cls)))
+                except ValueError:
+                    raise ValueError(f"--misallocated_lfs: expected LF:CLASS integer pairs, "
+                                     f"got {item!r}") from None
             kwargs[key] = pairs
         elif key in _SYNTH_TYPES:
             kwargs[key] = _coerce(key, raw, _SYNTH_TYPES) if isinstance(raw, str) else raw

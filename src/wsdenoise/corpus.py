@@ -149,19 +149,15 @@ def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVect
     if (t.sum(axis=1) <= 0).any():
         raise ValueError("t_matrix rows must have positive sum")
 
-    scores = ds.z @ t  # (N, K)
+    scores = ds.z @ t  # (N, K); an unmatched row scores 0 everywhere, a K-way tie
     labels = np.argmax(scores, axis=1).astype(np.int64)
-    matched = ds.matched_mask
-    row_max = scores.max(axis=1)
-    n_tied = (scores == row_max[:, None]).sum(axis=1)
+    is_max = scores == scores.max(axis=1, keepdims=True)
 
-    for i in np.flatnonzero(matched & (n_tied > 1)):
-        tied = np.flatnonzero(scores[i] == row_max[i])
+    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
+        tied = np.flatnonzero(is_max[i])
         labels[i] = tied[_tie_rng(seed, int(i)).integers(len(tied))]
-    for i in np.flatnonzero(~matched):
-        labels[i] = _tie_rng(seed, int(i)).integers(ds.num_classes)
 
-    return LabelVector(labels, ~matched)
+    return LabelVector(labels, ~ds.matched_mask)
 
 
 def dataset_stats(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> DatasetStats:

@@ -5,17 +5,17 @@ smoothed idf with a +1 floor, ``idf = ln((1 + n_docs) / (1 + df)) + 1``, raw
 term frequency, and L2 row normalization, so rows have norm 1 (or 0 for
 documents with no in-vocabulary tokens).
 
-Every document is tokenized once.  ``count_terms`` turns a corpus into a
-``TermCounts``: an N x T matrix of term counts whose columns are the sorted
-distinct terms.  A dataset builds that matrix the first time
-cross-validation needs it, and ``fit_rows`` cuts features from row slices
-of it: the vocabulary comes from the document frequencies of the training
-rows, and the kept columns are scaled by idf and L2-normalized row by row.
-Cross-validation uses it for each fold's training rows, and the final model
-for its own; ``transform_rows`` then cuts a fold's test rows with the fold's
-vocabulary.  ``fit_vocabulary`` and ``transform`` run the same steps on the
-texts they are given; ``transform`` counts only the vocabulary's terms and
-drops the rest.
+``count_terms`` is the one counter: it tokenizes every document once into a
+``TermCounts``, an N x T matrix of term counts over the sorted distinct
+terms.  ``_tfidf`` is the one cut: a column map sends each count column to a
+vocabulary column, or to -1 for a term the vocabulary does not keep, and the
+kept counts are scaled by idf and L2-normalized row by row.
+
+``fit_rows`` fits a vocabulary on some rows of a dataset's count matrix
+(each fold's training rows, or the final model's) and cuts them;
+``transform_rows`` cuts a fold's test rows with that fold's vocabulary.
+``fit_vocabulary`` fits on every text it is given, and ``transform`` counts
+held-out texts, maps their terms to the vocabulary's columns and cuts them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,37 +73,27 @@ def _token_chunks(texts: list[str]):
         yield chunk
 
 
-def _count(texts: list[str], column_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR ``(data, indices, indptr)`` of each text's token counts.
-
-    ``column_ids(tokens)`` yields one column per token, -1 to drop it;
-    columns ascend within each row.
-    """
-    data, indices = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    row_nnz = [np.zeros(0, dtype=np.int64)]
-    for chunk in _token_chunks(texts):
-        n_tokens = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        ids = np.fromiter(column_ids(chain.from_iterable(chunk)), dtype=np.int64,
-                          count=int(n_tokens.sum()))
-        rows = np.repeat(np.arange(len(chunk)), n_tokens)
-        width = int(ids.max(initial=0)) + 1
-        known = ids >= 0
-        cells, counts = np.unique(rows[known] * width + ids[known], return_counts=True)
-        data.append(counts.astype(np.int32))
-        indices.append((cells % width).astype(np.int32))
-        row_nnz.append(np.bincount(cells // width, minlength=len(chunk)))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
-    return np.concatenate(data), np.concatenate(indices), indptr.astype(np.int32)
-
-
 def count_terms(texts: list[str]) -> TermCounts:
     """Tokenize each text once into a document-by-term count matrix over sorted terms."""
     index = defaultdict(count().__next__)  # an unseen term takes the next column
-    data, first_seen, indptr = _count(texts, lambda tokens: map(index.__getitem__, tokens))
+    data, first_seen = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    row_nnz = [np.zeros(0, dtype=np.int64)]
+    for chunk in _token_chunks(texts):
+        n_tokens = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(chunk)), dtype=np.int64,
+                          count=int(n_tokens.sum()))
+        rows = np.repeat(np.arange(len(chunk)), n_tokens)
+        width = int(ids.max(initial=0)) + 1
+        cells, counts = np.unique(rows * width + ids, return_counts=True)
+        data.append(counts.astype(np.int32))
+        first_seen.append((cells % width).astype(np.int32))
+        row_nnz.append(np.bincount(cells // width, minlength=len(chunk)))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz)))).astype(np.int32)
     terms = sorted(index)
     rank = np.empty(len(terms), dtype=np.int32)
     rank[[index[t] for t in terms]] = np.arange(len(terms), dtype=np.int32)
-    counts = sp.csr_array((data, rank[first_seen], indptr), shape=(len(texts), len(terms)))
+    counts = sp.csr_array((np.concatenate(data), rank[np.concatenate(first_seen)], indptr),
+                          shape=(len(texts), len(terms)))
     counts.sort_indices()
     return TermCounts(terms, counts)
 
@@ -182,6 +172,6 @@ def fit_vocabulary(texts: list[str], cfg: FeaturizeConfig | None = None) -> Voca
 
 def transform(texts: list[str], vocab: Vocabulary) -> sp.csr_array:
     """TF-IDF encode documents as a sparse N x V matrix with L2-normalized rows."""
-    counts = _count(texts, lambda tokens: map(vocab.index.get, tokens, repeat(-1)))
-    return _tfidf(sp.csr_array(counts, shape=(len(texts), vocab.size)),
-                  np.arange(vocab.size, dtype=np.int32), vocab)
+    tc = count_terms(texts)
+    columns = np.array([vocab.index.get(t, -1) for t in tc.terms], dtype=np.int32)
+    return _tfidf(tc.counts, columns, vocab)

@@ -143,6 +143,21 @@ class TestRoundTripProperties:
             np.testing.assert_array_equal(back.gold, ds.gold)
 
 
+def _two_loop_vote(ds, t, seed):
+    """The vote that broke matched ties and drew unmatched classes in two loops."""
+    scores = ds.z @ t
+    labels = np.argmax(scores, axis=1).astype(np.int64)
+    matched = ds.matched_mask
+    row_max = scores.max(axis=1)
+    n_tied = (scores == row_max[:, None]).sum(axis=1)
+    for i in np.flatnonzero(matched & (n_tied > 1)):
+        tied = np.flatnonzero(scores[i] == row_max[i])
+        labels[i] = tied[np.random.default_rng([seed, int(i)]).integers(len(tied))]
+    for i in np.flatnonzero(~matched):
+        labels[i] = np.random.default_rng([seed, int(i)]).integers(ds.num_classes)
+    return labels, ~matched
+
+
 class TestMajorityVote:
     def test_agreeing_lfs_win(self):
         # two LFs both mapped to class 1 -> class 1
@@ -195,6 +210,21 @@ class TestMajorityVote:
                 assert lv.labels[i] in tied
                 if len(tied) == 1:
                     assert lv.labels[i] == tied[0]
+
+    @pytest.mark.parametrize("kind", ["one_hot", "fractional", "all_ones"])
+    def test_equals_the_two_loop_vote(self, rng, kind):
+        for _ in range(50):
+            ds = random_instance(rng)
+            if kind == "fractional":
+                t = rng.random(ds.t.shape) * (rng.random(ds.t.shape) < 0.7)
+                t[np.arange(ds.n_lfs), rng.integers(ds.num_classes, size=ds.n_lfs)] += 0.5
+            else:
+                t = ds.t if kind == "one_hot" else np.ones_like(ds.t)
+            for seed in (0, 5):
+                lv = majority_vote(ds, t, seed)
+                labels, unmatched = _two_loop_vote(ds, t, seed)
+                np.testing.assert_array_equal(lv.labels, labels)
+                np.testing.assert_array_equal(lv.was_unmatched, unmatched)
 
     def test_rejects_bad_t(self):
         ds = make_dataset([[1]], [[1.0, 0.0]])

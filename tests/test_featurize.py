@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wsdenoise import featurize
 from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, tokenize, transform
 
 
@@ -39,9 +40,29 @@ class TestTransform:
         assert np.count_nonzero(x) == 1
 
     def test_out_of_vocab_gives_zero_row(self):
-        v = fit_vocabulary(["apple"])
-        x = transform(["zebra quux"], v).toarray()
-        assert not x.any()
+        v = fit_vocabulary(["apple", "pear banana"])
+        x = transform(["pear", "zebra quux zebra", "banana"], v)
+        assert x.shape == (3, v.size)
+        assert x[[1]].nnz == 0
+        assert x[[0]].nnz == 1 and x[[2]].nnz == 1
+
+    def test_no_texts_give_an_empty_matrix_of_vocabulary_width(self):
+        v = fit_vocabulary(["apple", "pear banana"])
+        x = transform([], v)
+        assert x.shape == (0, v.size) and x.nnz == 0
+
+    def test_tokenizes_each_text_once(self, monkeypatch):
+        v = fit_vocabulary(["apple", "pear banana"])
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(featurize, "tokenize", counting)
+        texts = ["pear apple", "zebra", "", "banana pear pear"]
+        transform(texts, v)
+        assert calls == texts
 
     def test_hand_computed_idf(self):
         # corpus ["x x y", "y"]: idf(x) = ln(3/2)+1, idf(y) = ln(3/3)+1 = 1

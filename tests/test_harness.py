@@ -496,6 +496,11 @@ class TestCli:
         assert t[1] == "0\t1"
         assert t[2] == "1\t1"  # LF 1's natural class is 1
 
+    @pytest.mark.parametrize("raw, bad", [("0-1", "0-1"), ("0:x", "0:x"), ("1:0,0:x", "0:x")])
+    def test_malformed_misallocated_lfs_names_the_option(self, tmp_path, raw, bad):
+        with pytest.raises(ValueError, match=f"--misallocated_lfs: .*{bad!r}"):
+            self._synth(tmp_path, misallocated_lfs=raw)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         data = self._synth(tmp_path)
         outs = []

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Check that two source checkouts of wsdenoise write identical run directories.
+#
+# Usage: tools/cli_parity.sh PARENT_DIR CHANGE_DIR
+#
+# With each checkout's src/ on PYTHONPATH, in a fresh directory per checkout,
+# the script synthesizes a 600-document dataset with 200-document dev and test
+# splits, then runs the CLI with `--repeats 2 --dump_folds true`: baseline,
+# ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), wscw, wscl by
+# signature and by LF, and a ulf grid over --p 0.3,0.7 x --iters 2,3.  It then
+# compares the two directories with `diff -r`, ignoring timing.json, the one
+# file that holds wall-clock times.  Exit status: 0 when they are identical,
+# 1 on any difference (the directories are kept for inspection), 2 on bad use.
+set -euo pipefail
+
+if [ $# -ne 2 ] || [ ! -d "$1/src/wsdenoise" ] || [ ! -d "$2/src/wsdenoise" ]; then
+    echo "usage: $0 PARENT_DIR CHANGE_DIR (each a checkout with src/wsdenoise)" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$2" && pwd)
+work=$(mktemp -d "${TMPDIR:-/tmp}/cli_parity.XXXXXX")
+
+run_all() {  # run_all CHECKOUT OUT_DIR
+    local src=$1/src out=$2
+    mkdir -p "$out"
+    cd "$out"  # relative paths, so the reports of both checkouts name the same files
+    wsd() { PYTHONPATH="$src" python3 -m wsdenoise.cli "$@" > /dev/null; }
+    wsd synth --n_samples 600 --seed 11 --out_dir data
+    wsd synth --n_samples 200 --seed 12 --out_dir dev
+    wsd synth --n_samples 200 --seed 13 --out_dir test
+    local io=(--doc_path data/docs.tsv --z_path data/z.tsv --t_path data/t.tsv
+              --gold_path data/gold.tsv
+              --dev_doc_path dev/docs.tsv --dev_gold_path dev/gold.tsv
+              --test_doc_path test/docs.tsv --test_gold_path test/gold.tsv
+              --repeats 2 --dump_folds true)
+    wsd baseline "${io[@]}" --out_dir runs/baseline
+    wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
+    wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
+    wsd wscw "${io[@]}" --out_dir runs/wscw
+    wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
+    wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
+    wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
+}
+
+(run_all "$parent" "$work/parent")
+(run_all "$change" "$work/change")
+
+if diff -r -x timing.json "$work/parent" "$work/change"; then
+    echo "identical apart from timing.json: $(find "$work/change" -type f | wc -l) files per checkout"
+    rm -rf "$work"
+else
+    echo "run directories differ; kept in $work" >&2
+    exit 1
+fi
