@@ -18,6 +18,18 @@ sample weights and seed, and each comes out bit for bit as it would alone.
 The group's features are stacked into one CSR array: model f's rows follow
 model f-1's, and its columns are shifted past the widths of the models
 before it, so its rows touch only its own block of the stacked weights.
+Each model's bias is one more row of those weights: ``_stack`` ends each of
+model f's rows, last in storage order, with 1.0 in column V + f (V is the
+total feature width), a lone model's too.  The kernels below then treat the
+bias as a feature, with the bits of a separate bias vector:
+
+- ``csr_matvecs`` adds a row's entries in storage order, starting from 0, so
+  a last entry 1.0 * b gives (sum of x * w) + b, as adding b afterwards does;
+  the largest column index alone would not be enough.
+- ``csc_matvecs`` sums the bias row's gradient over the model's rows of the
+  step in row order, the order of an axis sum of the logit gradient.
+- ``gw *= lr; w -= gw`` gives b - gsum * lr, the bits of b -= lr * gsum.
+
 Each epoch draws every model's permutation from (seed_f, epoch) and orders
 the batches step-major: step s holds batch s of every model that has one,
 in model order, leaving out batches whose weights sum to zero.  The rows of
@@ -40,23 +52,25 @@ and the row sum of exponentials are left folds over the K columns
 (``_row_reduce``): on a few hundred rows of a few classes that takes a few
 calls where numpy's axis-1 reduction is several times slower, and gives the
 same bits.  From K = 8 on, numpy's pairwise sum is no left fold, so there
-the reduction itself runs.  One update follows, which adds the L2 term to
-the blocks of the models in the step only: a lone model adds it at its own
-steps and no others.  After the steps, one forward pass over the stacked
-rows of each run of consecutive live models, each row with its own model's
-bias, gives the epoch-loss terms of every model in the run at once; the rows
-of a model that patience stopped or that failed are not computed.
+the reduction itself runs.  One update, ``w -= gw``, follows for every
+feature and bias row.  It adds the L2 term to the feature blocks (the first
+V rows) of the models in the step only, never to a bias row: a lone model
+adds it at its own steps and no others.  After the steps, one forward pass
+over the stacked rows of each run of consecutive live models gives the
+epoch-loss terms of every model in the run at once; the rows of a model that
+patience stopped or that failed are not computed.
 
 What stays per model: the permutation, the batch weight sum and the
-zero-weight-batch skip, the bias gradient (a sum over the model's own rows),
-the non-finite checks, the epoch loss sum, the best-epoch copy and patience.  A
-step checks its losses in bulk: while its weighted log-probabilities and the
-sum of squared weights are far from overflow (``_SAFE``), no model's loss
-can be non-finite; otherwise each model's loss is computed as a lone model
-computes it (``_loss``).  A model whose loss is non-finite has failed: its
-later batches of the epoch still run, on its own block, and when the epoch
-ends it drops out with its block zeroed, as a model stopped by patience
-does, so its failure does not touch the others.
+zero-weight-batch skip, the non-finite checks, the epoch loss sum, the
+best-epoch copy and patience.  A step checks its losses in bulk: while its
+weighted log-probabilities and the sum of squares of all of ``w`` (bias
+rows included, which only makes the check stricter) are far from overflow
+(``_SAFE``), no model's loss can be non-finite; otherwise each model's loss
+is computed as a lone model computes it (``_loss``, on its feature block).
+A model whose loss is non-finite has failed: its later batches of the epoch
+still run, on its own block and bias row, and when the epoch ends it drops
+out with both zeroed, as a model stopped by patience does, so its failure
+does not touch the others.
 """
 
 from __future__ import annotations
@@ -130,29 +144,28 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(indptr, indices, data, w, bias, y, sw):
+def _forward(indptr, indices, data, w, y, sw):
     """Log-probabilities of CSR rows ``indptr``, the labels' flat positions and ``sw * logp[y]``.
 
     ``indptr`` has one more entry than rows and holds absolute offsets into
-    ``indices`` and ``data``; ``bias`` is one K-vector or one per row.
+    ``indices`` and ``data``; each row ends with its bias entry (``_stack``).
     """
     n, (v, k) = len(indptr) - 1, w.shape
     logits = np.zeros((n, k))
     csr_matvecs(n, v, k, indptr, indices, data, w.ravel(), logits.ravel())
-    logits += bias
     logp = _log_softmax(logits)
     at = np.arange(0, n * k, k) + y
     return logp, at, sw * logp.ravel()[at]
 
 
-def _step(indptr, indices, data, w, bias, y, sw, scale):
+def _step(indptr, indices, data, w, y, sw, scale):
     """One forward/backward pass over the CSR rows ``indptr``.
 
     Returns the terms ``sw * logp[y]``, the logit gradient (softmax minus
-    one-hot, times ``scale`` per row) and the weight gradient of the data
-    term; the L2 term is the caller's.
+    one-hot, times ``scale`` per row) and the gradient of the data term for
+    every row of ``w``, bias rows included; the L2 term is the caller's.
     """
-    logp, at, t = _forward(indptr, indices, data, w, bias, y, sw)
+    logp, at, t = _forward(indptr, indices, data, w, y, sw)
     v, k = w.shape
     g = np.exp(logp, out=logp)
     g.ravel()[at] -= 1.0
@@ -173,13 +186,14 @@ def loss_and_grad(weights, bias, indptr, indices, data, y, sample_weights, l2):
     One SGD step of one model: the batch is the CSR row block ``indptr``
     (one more entry than rows, absolute offsets into ``indices`` and
     ``data``); ``y`` and ``sample_weights`` hold one entry per row.
-    ``train_group`` runs every step through the same ``_step``.
+    It runs ``_step`` as ``train_group`` does, the bias a last stacked column.
     """
+    v, lo, hi = weights.shape[0], indptr[0], indptr[-1]
+    x = _stack([sp.csr_array((data[lo:hi], indices[lo:hi], indptr - lo), shape=(len(y), v))])
     wsum = sample_weights.sum()
-    t, g, gw = _step(indptr, indices, data, weights, bias, y, sample_weights,
-                     sample_weights / wsum)
-    gw += 2.0 * l2 * weights
-    return _loss(t, wsum, weights, l2), gw, g.sum(axis=0)
+    t, _, gw = _step(x.indptr, x.indices, x.data, np.vstack([weights, bias]), y,
+                     sample_weights, sample_weights / wsum)
+    return _loss(t, wsum, weights, l2), gw[:v] + 2.0 * l2 * weights, gw[v]
 
 
 def _checked(features, labels, sample_weights, num_classes):
@@ -207,29 +221,33 @@ def _checked(features, labels, sample_weights, num_classes):
 
 
 def _stack(xs: list) -> sp.csr_array:
-    """The models' rows one after another, model f's columns shifted past the models before it.
+    """The models' rows one after another, each row ending with its model's bias entry.
 
-    Empties ``xs`` as it copies, so a model's matrix that nothing else holds
-    is freed before the next one is copied.
+    Model f's columns are shifted past the models before it, and its bias
+    entry is 1.0 in column ``V + f``, ``V`` the total width.  Empties ``xs``
+    as it copies, so a model's matrix that nothing else holds is freed
+    before the next one is copied.
     """
-    if len(xs) == 1:
-        return xs.pop()
-    n_rows = sum(x.shape[0] for x in xs)
+    count, n_rows = len(xs), sum(x.shape[0] for x in xs)
     width = sum(x.shape[1] for x in xs)
-    total = sum(int(x.indptr[-1] - x.indptr[0]) for x in xs)
-    dtype = np.int32 if max(total, width) < 2 ** 31 else np.int64
+    total = n_rows + sum(int(x.indptr[-1] - x.indptr[0]) for x in xs)
+    dtype = np.int32 if max(total, width + count) < 2 ** 31 else np.int64
     data, indices = np.empty(total), np.empty(total, dtype=dtype)
     indptr = np.zeros(n_rows + 1, dtype=dtype)
     at = row = col = 0
-    for f in range(len(xs)):
+    for f in range(count):
         x, xs[f] = xs[f], None
-        lo, hi = int(x.indptr[0]), int(x.indptr[-1])
-        data[at:at + hi - lo] = x.data[lo:hi]
-        np.add(x.indices[lo:hi], col, out=indices[at:at + hi - lo])
-        np.add(x.indptr[1:], at - lo, out=indptr[row + 1:row + 1 + x.shape[0]])
-        at, row, col = at + hi - lo, row + x.shape[0], col + x.shape[1]
+        n, lo, hi = x.shape[0], int(x.indptr[0]), int(x.indptr[-1])
+        ends = indptr[row + 1:row + 1 + n]  # row r's entries, then its bias entry, end here
+        np.add(x.indptr[1:], np.arange(at - lo + 1, at - lo + 1 + n), out=ends)
+        feature = np.ones(hi - lo + n, dtype=bool)
+        feature[ends - at - 1] = False
+        data[at:at + hi - lo + n][feature] = x.data[lo:hi]
+        indices[at:at + hi - lo + n][feature] = x.indices[lo:hi] + col
+        data[ends - 1], indices[ends - 1] = 1.0, width + f
+        at, row, col = at + hi - lo + n, row + n, col + x.shape[1]
     xs.clear()
-    return sp.csr_array((data, indices, indptr), shape=(n_rows, width))
+    return sp.csr_array((data, indices, indptr), shape=(n_rows, width + count))
 
 
 @dataclass
@@ -253,9 +271,8 @@ class _Epoch:
     weighs ``wsum[i]``, has ``length[i]`` rows and covers positions
     ``edge[i]:edge[i + 1]`` of ``order``, the stacked rows in step-major
     order.  The j-th step that has a batch holds batches
-    ``step_ptr[j]:step_ptr[j + 1]``; ``full[j]`` says all of them have
-    ``batch_size`` rows, and ``tmax[j]`` bounds the step's weighted
-    log-probabilities for the bulk loss check.
+    ``step_ptr[j]:step_ptr[j + 1]``, and ``tmax[j]`` bounds the step's
+    weighted log-probabilities for the bulk loss check.
     """
 
     def __init__(self, sw, fits, perms, batch_size):
@@ -283,14 +300,10 @@ class _Epoch:
         self.order = order[np.repeat(start - edge[:-1], length) + np.arange(edge[-1])]
         firsts = np.flatnonzero(np.diff(step, prepend=-1))
         self.step_ptr = np.append(firsts, keep.size).tolist()
-        if keep.size:
-            self.full = (np.minimum.reduceat(length, firsts) == batch_size).tolist()
-            # |weight x log-probability| below this keeps every batch's loss sum
-            # and its quotient by the batch weight sum below _SAFE
-            wcap = np.minimum(1.0, np.minimum.reduceat(wsum, firsts))
-            self.tmax = (_SAFE / batch_size * wcap).tolist()
-        else:
-            self.full = self.tmax = []
+        # |weight x log-probability| below this keeps every batch's loss sum
+        # and its quotient by the batch weight sum below _SAFE
+        wcap = np.minimum(1.0, np.minimum.reduceat(wsum, firsts))
+        self.tmax = (_SAFE / batch_size * wcap).tolist()
         self.model, self.wsum, self.length, self.edge = model, wsum, length, edge.tolist()
 
 
@@ -307,18 +320,17 @@ def _gather(x, rows):
     return indptr, indices, data
 
 
-def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes,
-               cfg: ClassifierConfig) -> set:
+def _run_steps(x, y, sw, ep: _Epoch, w, fits, widths, cfg: ClassifierConfig) -> set:
     """Run the steps of ``ep`` on the stacked ``x``, ``y`` and ``sw``; return the models that failed.
 
     Rows are gathered ``_BLOCK_STEPS`` steps at a time.  A model fails when
     its batch loss is non-finite; its later batches still run, on its own
-    block of ``w`` and its own ``b`` row, so the other models never see it.
-    ``block_sizes`` counts the entries of each model's block of ``w``: the
-    L2 term reaches only the models in a step.
+    block and bias row of ``w``, so the other models never see it.
+    ``widths`` counts each model's feature rows of ``w``: the L2 term
+    reaches only those of the models in a step.
     """
-    lr, l2, batch_size = cfg.learning_rate, cfg.l2, cfg.batch_size
-    k = w.shape[1]
+    lr, l2 = cfg.learning_rate, cfg.l2
+    v = len(w) - len(fits)  # the feature rows; the bias rows follow
     w_flat = w.ravel()
     sptr, edge, model = ep.step_ptr, ep.edge, ep.model
     failed = set()
@@ -326,7 +338,6 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes,
     for j in range(len(sptr) - 1):
         p, q = sptr[j], sptr[j + 1]
         a, c = edge[p], edge[q]
-        m = model[p:q]
         if c > gathered:
             last = sptr[min(j + _BLOCK_STEPS, len(sptr) - 1)]
             first_row, gathered = a, edge[last]
@@ -334,10 +345,9 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes,
             indptr, indices, data = _gather(x, rows)
             block_y, block_sw = y[rows], sw[rows]
             block_scale = block_sw / np.repeat(ep.wsum[p:last], ep.length[p:last])
-            block_model = np.repeat(model[p:last], ep.length[p:last])
         r0, r1 = a - first_row, c - first_row
-        t, g, gw = _step(indptr[r0:r1 + 1], indices, data, w, b[block_model[r0:r1]],
-                         block_y[r0:r1], block_sw[r0:r1], block_scale[r0:r1])
+        t, _, gw = _step(indptr[r0:r1 + 1], indices, data, w, block_y[r0:r1],
+                         block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
         if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
             for i in range(p, q):  # some loss may be non-finite: compute each exactly
@@ -345,17 +355,12 @@ def _run_steps(x, y, sw, ep: _Epoch, w, b, fits, block_sizes,
                 if not np.isfinite(_loss(t[edge[i] - a:edge[i + 1] - a], ep.wsum[i],
                                          w[fits[f].cols], l2)):
                     failed.add(f)
-        if l2:  # 2 * l2 * w, masked to the blocks of the models in this step
+        if l2:  # 2 * l2 * w, masked to the feature blocks of the models in this step
             coef = np.zeros(len(fits))
-            coef[m] = 2.0 * l2
-            gw += w * np.repeat(coef, block_sizes).reshape(w.shape)
+            coef[model[p:q]] = 2.0 * l2
+            gw[:v] += w[:v] * np.repeat(coef, widths)[:, None]
         gw *= lr
-        w -= gw  # blocks no row touched have a zero gradient
-        if ep.full[j]:
-            b[m] -= lr * g.reshape(q - p, batch_size, k).sum(axis=1)
-        else:
-            for i in range(p, q):
-                b[model[i]] -= lr * g[edge[i] - a:edge[i + 1] - a].sum(axis=0)
+        w -= gw  # blocks and bias rows no row touched have a zero gradient
     return failed
 
 
@@ -398,17 +403,13 @@ def train_group(features, labels: list, sample_weights: list | None = None,
     x = _stack(xs)
     fits = [_Fit(slice(rows[f], rows[f + 1]), slice(cols[f], cols[f + 1]), int(seeds[f]))
             for f in range(count)]
-    sizes = np.diff(rows)
-    block_sizes = np.diff(cols) * int(num_classes)
-
+    v = cols[-1]  # model f's bias is row v + f of w
     w = np.zeros((x.shape[1], int(num_classes)))
-    b = np.zeros((count, int(num_classes)))
     live = list(range(count))
 
     def drop(f):
         live.remove(f)
-        w[fits[f].cols] = 0.0  # a dropped block stays zero and out of every check
-        b[f] = 0.0
+        w[fits[f].cols] = w[v + f] = 0.0  # a dropped model stays zero and out of every check
 
     def fail(f, epoch):
         fits[f].error = RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
@@ -419,8 +420,8 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             break
         perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
                  fits[f].rows.stop - fits[f].rows.start) for f in live}
-        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, b,
-                            fits, block_sizes, cfg):
+        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, fits,
+                            np.diff(cols), cfg):
             fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
         if not live:
             break
@@ -430,8 +431,7 @@ def train_group(features, labels: list, sample_weights: list | None = None,
         terms = {}
         for f0, f1 in _runs(live):
             lo, hi = rows[f0], rows[f1]
-            _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w,
-                               np.repeat(b[f0:f1], sizes[f0:f1], axis=0), y[lo:hi], sw[lo:hi])
+            _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w, y[lo:hi], sw[lo:hi])
             for f in range(f0, f1):
                 terms[f] = t[rows[f] - lo:rows[f + 1] - lo]
         for f in list(live):
@@ -443,7 +443,7 @@ def train_group(features, labels: list, sample_weights: list | None = None,
             fit.log.append(epoch_loss)
             if epoch_loss < fit.best_loss:
                 fit.best_loss = epoch_loss
-                fit.best = (w[fit.cols].copy(), b[f].copy())
+                fit.best = (w[fit.cols].copy(), w[v + f].copy())
                 fit.bad_epochs = 0
             else:
                 fit.bad_epochs += 1

@@ -411,6 +411,55 @@ class TestTrainGroup:
         with pytest.raises(ValueError, match="one feature matrix, label vector"):
             train_group([x], [y], [sw], seeds=[1, 2], num_classes=3)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_l2_never_reaches_the_bias(self, rng, count):
+        # with every feature row empty only the biases move, so an L2 term on
+        # a bias row would show as a different bias
+        xs = [sp.csr_array((40, 4)) for _ in range(count)]
+        ys = [rng.integers(3, size=40) for _ in range(count)]
+        fits = {l2: train_group(xs, ys, None, ClassifierConfig(learning_rate=0.5, epochs=3,
+                                                               batch_size=8, l2=l2),
+                                num_classes=3)
+                for l2 in (0.0, 1.0)}
+        for plain, penalized in zip(fits[0.0], fits[1.0]):
+            assert plain.bias.any()  # the biases did move
+            assert penalized.bias.tobytes() == plain.bias.tobytes()
+            assert not plain.weights.any() and not penalized.weights.any()
+
+
+class TestStack:
+    """``_stack`` ends every row with its model's bias entry, last in storage order."""
+
+    @staticmethod
+    def csr(indptr, indices, data, width):
+        return sp.csr_array((np.array(data), np.array(indices, dtype=np.int32),
+                             np.array(indptr, dtype=np.int32)), shape=(len(indptr) - 1, width))
+
+    @staticmethod
+    def entries(x):
+        """Each row's (column, value) pairs in storage order."""
+        return [list(zip(x.indices[a:c].tolist(), x.data[a:c].tolist()))
+                for a, c in zip(x.indptr[:-1], x.indptr[1:])]
+
+    @pytest.mark.parametrize("lone", [True, False])
+    def test_every_row_ends_with_its_bias_entry(self, lone):
+        # model 0: an empty row, a row whose indices are unsorted, a one-entry row;
+        # model 1: a one-entry row and an empty row
+        models = [self.csr([0, 0, 3, 4], [2, 0, 1, 1], [1.5, 2.5, 3.5, 4.5], 3),
+                  self.csr([0, 1, 1], [1], [5.5], 2)][:1 if lone else 2]
+        before = [(x.indptr.copy(), x.indices.copy(), x.data.copy()) for x in models]
+        xs = list(models)
+        stacked = linear._stack(xs)
+        v = 3 if lone else 5
+        want = [[(v, 1.0)], [(2, 1.5), (0, 2.5), (1, 3.5), (v, 1.0)], [(1, 4.5), (v, 1.0)]]
+        if not lone:
+            want += [[(4, 5.5), (v + 1, 1.0)], [(v + 1, 1.0)]]
+        assert xs == []
+        assert stacked.shape == (len(want), v + len(models))
+        assert self.entries(stacked) == want
+        for x, old in zip(models, before):
+            assert all(np.array_equal(a, c) for a, c in zip((x.indptr, x.indices, x.data), old))
+
 
 class TestPredictProba:
     def test_zero_model_is_uniform(self):
