@@ -39,8 +39,8 @@ from wsdenoise.linear import ClassifierConfig, predict_proba, train_group
 from wsdenoise.seeding import derive_seed
 
 STRATEGIES = ("random", "by_lf", "by_signature")
-# stacked training nonzeros of one fold group (~6 MB of values and indices);
-# bounds the group's memory, and a fold above it trains alone
+# stacked feature nonzeros of one fold group (~6 MB, plus one 12-byte bias
+# entry per row); bounds its memory, and a fold above it trains alone, copied once
 _GROUP_NNZ = 1 << 19
 
 
