@@ -253,6 +253,8 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
         raise ValueError(f"{z_path} line 1: expected header 'N L'") from None
     if n_decl != n:
         raise ValueError(f"{z_path} line 1: declared N={n_decl} but documents file has {n}")
+    if n_lfs < 0:
+        raise ValueError(f"{z_path} line 1: declared L={n_lfs} is negative")
     rows, cols = [], []
     for lineno, line in enumerate(z_lines[1:], 2):
         if not line:
@@ -285,6 +287,8 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
         raise ValueError(f"{t_path} line 1: expected header 'L K'") from None
     if l_decl != n_lfs:
         raise ValueError(f"{t_path} line 1: declared L={l_decl} but Z file has L={n_lfs}")
+    if k < 2:
+        raise ValueError(f"{t_path} line 1: declared K={k}, but need at least 2 classes")
     t = np.zeros((n_lfs, k), dtype=float)
     for lineno, line in enumerate(t_lines[1:], 2):
         if not line:

@@ -20,10 +20,10 @@ train fold takes ``min(available, floor(matched_train_size / lambda))``
 unmatched samples, seeded-random without replacement, carrying their current
 labels.
 
-``estimate_oos`` trains the fold models side by side, in groups of
-consecutive folds whose stacked training features hold at most
-``_GROUP_NNZ`` nonzeros, one ``linear.train_group`` call per group; every
-fold model is bitwise the one it would be alone.
+``estimate_oos`` makes one ordered pass over groups of consecutive folds
+whose training rows hold at most ``_GROUP_NNZ`` stored counts: a group's
+folds are cut only after the group before it has predicted, and train in one
+``linear.train_group`` call, each model bitwise the one it would be alone.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from wsdenoise.linear import ClassifierConfig, predict_proba, train_group
 from wsdenoise.seeding import derive_seed
 
 STRATEGIES = ("random", "by_lf", "by_signature")
-# stacked feature nonzeros of one fold group (~6 MB, plus one 12-byte bias
-# entry per row); bounds its memory, and a fold above it trains alone, copied once
+# stored counts in a fold group's training rows: they bound its stacked TF-IDF nonzeros
+# (~6 MB, plus a 12-byte bias entry per row); a fold above it trains alone, copied once
 _GROUP_NNZ = 1 << 19
 
 
@@ -143,48 +143,49 @@ def build_plan(ds: WeakDataset, strategy: str, k: int, lambda_rate: float, seed:
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _fit_folds(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
-               feat_cfg: FeaturizeConfig, clf_cfg: ClassifierConfig) -> list:
-    """Each fold's ``(vocabulary, column map, model)``, or the exception that stopped it.
+def _groups(sizes) -> list:
+    """Fold indices in runs whose ``sizes`` sum to at most ``_GROUP_NNZ``; a larger fold alone."""
+    groups, total = [], 0
+    for fi, size in enumerate(sizes):
+        total += size
+        if groups and total <= _GROUP_NNZ:
+            groups[-1].append(fi)
+        else:
+            groups.append([fi])
+            total = size
+    return groups
 
-    Consecutive folds' training features are cut and collected until the
-    next fold would take the group past ``_GROUP_NNZ`` nonzeros; then the
-    group trains in one ``train_group`` call.  Fold f trains with seed
-    ``derive_seed(clf_cfg.seed, f)``.  The list ends at the first fold whose
-    features fail or with the group in which a model fails: no later fold
-    can change which error comes first.
+
+def _fold_probs(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
+                feat_cfg: FeaturizeConfig, clf_cfg: ClassifierConfig):
+    """Each fold's out-of-sample probabilities, in fold order; a failed fold raises its error.
+
+    ``_groups`` plans the groups from each fold's stored training counts, which
+    bound its TF-IDF nonzeros; fold f trains with seed ``derive_seed(clf_cfg.seed, f)``.
+    When a fold's features fail, the folds cut before it train and predict
+    first, and no later fold is cut.
     """
-    fitted, group = [], []
-
-    def train() -> bool:
-        """Train the collected group; True when one of its models failed."""
-        if not group:
-            return False
-        # the features go in as a generator, so each matrix is freed once stacked
-        models = train_group((entry.pop() for entry in group),
-                             [y[plan.folds[fi][0]] for fi, *_ in group], None, clf_cfg,
-                             [derive_seed(clf_cfg.seed, fi) for fi, *_ in group],
-                             num_classes=ds.num_classes)
-        fitted.extend(m if isinstance(m, Exception) else (vocab, columns, m)
-                      for (_, vocab, columns), m in zip(group, models))
-        group.clear()
-        return any(isinstance(m, Exception) for m in models)
-
-    nnz = 0
-    for fi, (tr, _) in enumerate(plan.folds):
-        try:
-            entry = [fi, *fit_rows(ds.term_counts, tr, feat_cfg)]
-        except Exception as exc:
-            train()
-            return fitted + [exc]
-        if group and nnz + entry[-1].nnz > _GROUP_NNZ:
-            if train():
-                return fitted
-            nnz = 0
-        nnz += entry[-1].nnz
-        group.append(entry)
-    train()
-    return fitted
+    tc, folds = ds.term_counts, plan.folds
+    row_nnz = np.diff(tc.counts.indptr)
+    for group in _groups([row_nnz[tr].sum() for tr, _ in folds]):
+        cut, error = [], None
+        for fi in group:
+            try:
+                cut.append([fi, *fit_rows(tc, folds[fi][0], feat_cfg)])
+            except Exception as exc:
+                error = exc
+                break
+        if cut:
+            # the features go in as a generator, so each matrix is freed once stacked
+            models = train_group((entry.pop() for entry in cut), [y[folds[fi][0]] for fi, *_ in cut],
+                                 None, clf_cfg, [derive_seed(clf_cfg.seed, fi) for fi, *_ in cut],
+                                 num_classes=ds.num_classes)
+            for (fi, vocab, columns), model in zip(cut, models):
+                if isinstance(model, Exception):
+                    raise model
+                yield predict_proba(model, transform_rows(tc, folds[fi][1], vocab, columns))
+        if error is not None:
+            raise error
 
 
 def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
@@ -198,10 +199,8 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     dataset's count matrix, so no document is tokenized twice.  Samples
     tested by several folds get the arithmetic mean of their probability rows.
 
-    The fold models train first, grouped as ``_fit_folds`` describes; only
-    then are each fold's test rows cut and predicted.  A failure is raised as
-    ``fold f: ...`` for the lowest failing fold, the error running the folds
-    one after another would raise.
+    The folds run group by group (``_fold_probs``); a failure is raised as
+    ``fold f: ...`` for the lowest failing fold, as running them one by one would.
 
     ``fold_predict(ds, train_idx, label_array, test_idx) -> (n_test, K)``
     replaces the default TF-IDF + logistic-regression fold model; used by
@@ -210,19 +209,13 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     feat_cfg = feat_cfg or FeaturizeConfig()
     clf_cfg = clf_cfg or ClassifierConfig()
     y = as_labels(labels)
-    n, k_classes = ds.n_samples, ds.num_classes
-    fitted = _fit_folds(ds, y, plan, feat_cfg, clf_cfg) if fold_predict is None else None
-    acc = np.zeros((n, k_classes))
-    cnt = np.zeros(n, dtype=np.int64)
-    for fi, (tr, te) in enumerate(plan.folds):
+    probs = (_fold_probs(ds, y, plan, feat_cfg, clf_cfg) if fold_predict is None
+             else (fold_predict(ds, tr, y, te) for tr, te in plan.folds))
+    acc = np.zeros((ds.n_samples, ds.num_classes))
+    cnt = np.zeros(ds.n_samples, dtype=np.int64)
+    for fi, (_, te) in enumerate(plan.folds):
         try:
-            if fold_predict is not None:
-                p = fold_predict(ds, tr, y, te)
-            elif isinstance(fitted[fi], Exception):
-                raise fitted[fi]
-            else:
-                vocab, columns, model = fitted[fi]
-                p = predict_proba(model, transform_rows(ds.term_counts, te, vocab, columns))
+            p = next(probs)
         except Exception as exc:
             raise RuntimeError(f"fold {fi}: {exc}") from exc
         acc[te] += p

@@ -161,9 +161,9 @@ def _forward(indptr, indices, data, w, y, sw):
 def _step(indptr, indices, data, w, y, sw, scale):
     """One forward/backward pass over the CSR rows ``indptr``.
 
-    Returns the terms ``sw * logp[y]``, the logit gradient (softmax minus
-    one-hot, times ``scale`` per row) and the gradient of the data term for
-    every row of ``w``, bias rows included; the L2 term is the caller's.
+    Returns the terms ``sw * logp[y]`` and the gradient of the data term for
+    every row of ``w``, bias rows included, from the logit gradient (softmax
+    minus one-hot, times ``scale`` per row); the L2 term is the caller's.
     """
     logp, at, t = _forward(indptr, indices, data, w, y, sw)
     v, k = w.shape
@@ -172,7 +172,7 @@ def _step(indptr, indices, data, w, y, sw, scale):
     g *= scale[:, None]
     gw = np.zeros((v, k))
     csc_matvecs(v, len(y), k, indptr, indices, data, g.ravel(), gw.ravel())
-    return t, g, gw
+    return t, gw
 
 
 def _loss(t, wsum, weights, l2):
@@ -191,8 +191,8 @@ def loss_and_grad(weights, bias, indptr, indices, data, y, sample_weights, l2):
     v, lo, hi = weights.shape[0], indptr[0], indptr[-1]
     x = _stack([sp.csr_array((data[lo:hi], indices[lo:hi], indptr - lo), shape=(len(y), v))])
     wsum = sample_weights.sum()
-    t, _, gw = _step(x.indptr, x.indices, x.data, np.vstack([weights, bias]), y,
-                     sample_weights, sample_weights / wsum)
+    t, gw = _step(x.indptr, x.indices, x.data, np.vstack([weights, bias]), y,
+                  sample_weights, sample_weights / wsum)
     return _loss(t, wsum, weights, l2), gw[:v] + 2.0 * l2 * weights, gw[v]
 
 
@@ -346,8 +346,8 @@ def _run_steps(x, y, sw, ep: _Epoch, w, fits, widths, cfg: ClassifierConfig) -> 
             block_y, block_sw = y[rows], sw[rows]
             block_scale = block_sw / np.repeat(ep.wsum[p:last], ep.length[p:last])
         r0, r1 = a - first_row, c - first_row
-        t, _, gw = _step(indptr[r0:r1 + 1], indices, data, w, block_y[r0:r1],
-                         block_sw[r0:r1], block_scale[r0:r1])
+        t, gw = _step(indptr[r0:r1 + 1], indices, data, w, block_y[r0:r1],
+                      block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
         if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
             for i in range(p, q):  # some loss may be non-finite: compute each exactly

@@ -76,6 +76,19 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="line 2"):
             load_dataset(*paths[:3])
 
+    @pytest.mark.parametrize("z_header, t_header, where", [
+        ("2 -1", "-1 2", "z.tsv line 1: declared L=-1 is negative"),
+        ("2 1", "1 -2", "t.tsv line 1: declared K=-2, but need at least 2 classes"),
+        ("2 1", "1 1", "t.tsv line 1: declared K=1, but need at least 2 classes"),
+    ])
+    def test_bad_header_dimensions_name_file_and_line(self, tmp_path, z_header, t_header,
+                                                      where):
+        paths = write_files(tmp_path, docs=[("a", "x"), ("b", "y")], z_lines=[z_header],
+                            t_lines=[t_header])
+        with pytest.raises(ValueError) as info:
+            load_dataset(*paths[:3])
+        assert str(info.value).endswith(where)
+
     def test_keyword_lf_layout_dimensions(self, tmp_path):
         # 10 keyword LFs over 2 classes, a typical spam-filtering layout
         docs = [(f"s{i}", f"comment number {i}") for i in range(30)]

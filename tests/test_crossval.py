@@ -327,9 +327,19 @@ class TestFoldErrorOrder:
     def test_featurization_error_before_later_divergence(self):
         assert self.run([60, 2, 300]) == "fold 1: vocabulary is empty after min_df filtering"
 
+    def test_first_fold_featurization_error_trains_nothing(self, monkeypatch):
+        cut, trained = [], []
+        fit_rows, group = crossval.fit_rows, crossval.train_group
+        monkeypatch.setattr(crossval, "fit_rows",
+                            lambda tc, rows, cfg: cut.append(len(rows)) or fit_rows(tc, rows, cfg))
+        monkeypatch.setattr(crossval, "train_group",
+                            lambda *a, **kw: trained.append(1) or group(*a, **kw))
+        assert self.run([2, 60]) == "fold 0: vocabulary is empty after min_df filtering"
+        assert cut == [2] and trained == []
+
 
 class TestFoldGroups:
-    """Fold models train in groups bounded by their stacked training nonzeros."""
+    """Fold models train in groups planned from their stored training counts, one at a time."""
 
     @staticmethod
     def group_sizes(monkeypatch, ds, plan, cfg, bound=None):
@@ -375,3 +385,63 @@ class TestFoldGroups:
         plan = plan_random(ds, k=5, seed=5)
         sizes, _ = self.group_sizes(monkeypatch, ds, plan, ClassifierConfig(epochs=1))
         assert sizes == [1] * 5
+
+    def test_each_group_predicts_before_the_next_is_cut(self, monkeypatch):
+        ds, _ = generate(SynthConfig(n_samples=200, n_lfs=8, seed=6))
+        plan = build_plan(ds, "random", 4, 0.0, 6)
+        trains = [tr.tolist() for tr, _ in plan.folds]
+        tests = [te.tolist() for _, te in plan.folds]
+        calls = []
+        fit_rows, group, transform_rows = (crossval.fit_rows, crossval.train_group,
+                                           crossval.transform_rows)
+
+        def cutting(tc, rows, cfg):
+            calls.append(("cut", trains.index(rows.tolist())))
+            return fit_rows(tc, rows, cfg)
+
+        def training(*args, **kwargs):
+            calls.append(("train",))
+            return group(*args, **kwargs)
+
+        def predicting(tc, rows, vocab, columns):
+            calls.append(("predict", tests.index(rows.tolist())))
+            return transform_rows(tc, rows, vocab, columns)
+
+        monkeypatch.setattr(crossval, "fit_rows", cutting)
+        monkeypatch.setattr(crossval, "train_group", training)
+        monkeypatch.setattr(crossval, "transform_rows", predicting)
+        monkeypatch.setattr(crossval, "_GROUP_NNZ", 0)
+        estimate_oos(ds, noisy_labels(ds, 6), plan, clf_cfg=ClassifierConfig(epochs=1))
+        assert calls == [c for f in range(4) for c in (("cut", f), ("train",), ("predict", f))]
+
+    @pytest.mark.parametrize("bound, sizes, groups", [
+        (10, [3, 4, 3, 2, 8], [[0, 1, 2], [3, 4]]),     # groups that exactly fit the bound
+        (10, [4, 11, 1, 12], [[0], [1], [2], [3]]),     # a fold over the bound runs alone
+        (10, [11, 10, 5, 5], [[0], [1], [2, 3]]),
+        (0, [5, 3, 7], [[0], [1], [2]]),
+        (0, [0, 0, 4, 0], [[0, 1], [2], [3]]),          # empty folds still fit a bound of 0
+    ])
+    def test_groups(self, monkeypatch, bound, sizes, groups):
+        monkeypatch.setattr(crossval, "_GROUP_NNZ", bound)
+        assert crossval._groups(sizes) == groups
+
+    def test_planned_sizes_are_the_fold_nonzeros(self, monkeypatch):
+        ds, _ = generate(SynthConfig(n_samples=300, n_classes=3, n_lfs=8, seed=7))
+        plan = build_plan(ds, "by_lf", 4, 1.0, 7)
+        planned, nnz = [], []
+        groups, fit_rows = crossval._groups, crossval.fit_rows
+
+        def planning(sizes):
+            planned.extend(int(s) for s in sizes)
+            return groups(sizes)
+
+        def cutting(tc, rows, cfg):
+            vocab, columns, x = fit_rows(tc, rows, cfg)
+            nnz.append(x.nnz)
+            return vocab, columns, x
+
+        monkeypatch.setattr(crossval, "_groups", planning)
+        monkeypatch.setattr(crossval, "fit_rows", cutting)
+        estimate_oos(ds, noisy_labels(ds, 7), plan, FeaturizeConfig(),
+                     ClassifierConfig(epochs=1))
+        assert planned == nnz and len(nnz) == 4

@@ -135,7 +135,7 @@ def _fold_digests(ds, labels, plan, feat) -> list:
             estimate_oos(ds, labels, plan, feat, ClassifierConfig(seed=1))
         except RuntimeError as exc:
             error.append(f"error: {exc}")
-    # every fold trains before any predicts; pair them up in fold order
+    # the train and the test digests each come in fold order; pair them up
     return [d for pair in zip(trains, tests) for d in pair] + error
 
 

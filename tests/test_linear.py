@@ -258,7 +258,8 @@ class TestTrain:
     @pytest.mark.parametrize("l2", [0.0, 1e-3])
     @pytest.mark.parametrize("extra_rows", [0, 5])
     def test_one_full_batch_epoch_is_one_loss_and_grad_step(self, rng, l2, extra_rows):
-        # batch_size == n takes the full-step bias sum, batch_size > n the per-batch one
+        # batch_size == n gives one full batch, batch_size > n one short batch; both
+        # sum the bias gradient by the same csc_matvecs pass over the bias column
         n, v, k, lr, seed = 30, 8, 3, 0.7, 12
         x = sp.csr_array(rng.random((n, v)) * (rng.random((n, v)) < 0.4))
         y = rng.integers(k, size=n)

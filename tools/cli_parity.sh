@@ -7,9 +7,10 @@
 # the script synthesizes a 600-document dataset with 200-document dev and test
 # splits, then runs the CLI with `--repeats 2 --dump_folds true`: baseline,
 # ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), wscw, wscl by
-# signature and by LF, and a ulf grid over --p 0.3,0.7 x --iters 2,3.  It then
-# compares the two directories with `diff -r`, ignoring timing.json, the one
-# file that holds wall-clock times.  Exit status: 0 when they are identical,
+# signature and by LF, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a wscl
+# grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
+# recorded fold failure is compared too.  It then compares the two directories
+# with `diff -r`, ignoring timing.json, the one file that holds wall-clock times.  Exit status: 0 when they are identical,
 # 1 on any difference (the directories are kept for inspection), 2 on bad use.
 set -euo pipefail
 
@@ -41,6 +42,7 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
+    wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
 }
 
 (run_all "$parent" "$work/parent")
