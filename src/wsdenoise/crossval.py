@@ -22,8 +22,9 @@ labels.
 
 ``estimate_oos`` makes one ordered pass over groups of consecutive folds
 whose training rows hold at most ``_GROUP_NNZ`` stored counts: a group's
-folds are cut only after the group before it has predicted, and train in one
-``linear.train_group`` call, each model bitwise the one it would be alone.
+folds are cut only after the group before it has predicted, block by block
+into one stacked copy, and train in one ``linear.train_group`` call, each
+model bitwise the one it would be alone.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from wsdenoise.linear import ClassifierConfig, predict_proba, train_group
 from wsdenoise.seeding import derive_seed
 
 STRATEGIES = ("random", "by_lf", "by_signature")
-# stored counts in a fold group's training rows: they bound its stacked TF-IDF nonzeros
-# (~6 MB, plus a 12-byte bias entry per row); a fold above it trains alone, copied once
-_GROUP_NNZ = 1 << 19
+# stored counts in a fold group's training rows; they bound the nonzeros of its one stacked
+# copy of its features (~12.6 MB, plus a 12-byte bias entry per row); a larger fold trains alone
+_GROUP_NNZ = 1 << 20
 
 
 @dataclass
@@ -176,11 +177,10 @@ def _fold_probs(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
                 error = exc
                 break
         if cut:
-            # the features go in as a generator, so each matrix is freed once stacked
-            models = train_group((entry.pop() for entry in cut), [y[folds[fi][0]] for fi, *_ in cut],
-                                 None, clf_cfg, [derive_seed(clf_cfg.seed, fi) for fi, *_ in cut],
+            models = train_group([x for *_, x in cut], [y[folds[fi][0]] for fi, *_ in cut], None,
+                                 clf_cfg, [derive_seed(clf_cfg.seed, fi) for fi, *_ in cut],
                                  num_classes=ds.num_classes)
-            for (fi, vocab, columns), model in zip(cut, models):
+            for (fi, vocab, columns, _), model in zip(cut, models):
                 if isinstance(model, Exception):
                     raise model
                 yield predict_proba(model, transform_rows(tc, folds[fi][1], vocab, columns))

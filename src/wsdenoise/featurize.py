@@ -9,11 +9,14 @@ documents with no in-vocabulary tokens).
 ``TermCounts``, an N x T matrix of term counts over the sorted distinct
 terms.  ``_tfidf`` is the one cut: a column map sends each count column to a
 vocabulary column, or to -1 for a term the vocabulary does not keep, and the
-kept counts are scaled by idf and L2-normalized row by row.
+kept counts are scaled by idf and L2-normalized row by row.  Rows are cut
+independently, so a block of rows comes out as those rows of a larger cut.
 
 ``fit_rows`` fits a vocabulary on some rows of a dataset's count matrix
-(each fold's training rows, or the final model's) and cuts them;
-``transform_rows`` cuts a fold's test rows with that fold's vocabulary.
+(each fold's training rows, or the final model's) and returns their cut as
+``RowBlocks``, blocks of about ``_BLOCK_COUNTS`` stored counts each cut as
+it is read, which ``linear.train_group`` writes straight into its stacked
+arrays.  ``transform_rows`` cuts a fold's test rows with that fold's vocabulary.
 ``fit_vocabulary`` fits on every text it is given, and ``transform`` counts
 held-out texts, maps their terms to the vocabulary's columns and cuts them.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, count
 
@@ -30,6 +34,7 @@ import scipy.sparse as sp
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _CHUNK_TOKENS = 1 << 12  # tokens counted in one vectorized pass; bounds their memory
+_BLOCK_COUNTS = 1 << 16  # stored counts in one block of ``fit_rows``; bounds its temporaries
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,6 +62,14 @@ class Vocabulary:
 class TermCounts:
     terms: list[str]          # sorted distinct terms; column j counts terms[j]
     counts: sp.csr_array      # N x T int32 counts, columns ascending within each row
+
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """A CSR matrix as consecutive row blocks, each cut when it is read; read them once."""
+    shape: tuple              # of the whole matrix
+    nnz: int                  # stored entries of the whole matrix
+    blocks: Iterator          # CSR arrays of consecutive rows, top to bottom
 
 
 def _token_chunks(texts: list[str]):
@@ -98,16 +111,15 @@ def count_terms(texts: list[str]) -> TermCounts:
     return TermCounts(terms, counts)
 
 
-def _vocabulary(counts: sp.csr_array, terms: list[str],
+def _vocabulary(df: np.ndarray, num_docs: int, terms: list[str],
                 cfg: FeaturizeConfig) -> tuple[Vocabulary, np.ndarray]:
-    """The vocabulary fitted on the rows of ``counts``, and its column map.
+    """The vocabulary of ``num_docs`` rows with document frequencies ``df``, and its column map.
 
     The map sends each count column to its vocabulary column, or to -1 when
     the term is not kept.
     """
-    if counts.shape[0] == 0:
+    if num_docs == 0:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
-    df = np.bincount(counts.indices, minlength=len(terms)).astype(np.int64)
     kept = np.flatnonzero((df > 0) & (df >= cfg.min_df))
     if cfg.max_features is not None and kept.size > cfg.max_features:
         # highest df first, ties to the smaller term; kept is in term order
@@ -117,7 +129,7 @@ def _vocabulary(counts: sp.csr_array, terms: list[str],
     index = {terms[j]: i for i, j in enumerate(kept.tolist())}
     columns = np.full(len(terms), -1, dtype=np.int32)
     columns[kept] = np.arange(kept.size, dtype=np.int32)
-    return Vocabulary(index=index, df=df[kept], num_docs_fitted=counts.shape[0]), columns
+    return Vocabulary(index=index, df=df[kept], num_docs_fitted=num_docs), columns
 
 
 def _tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.csr_array:
@@ -142,15 +154,22 @@ def _tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.c
 
 
 def fit_rows(tc: TermCounts, rows: np.ndarray | None,
-             cfg: FeaturizeConfig) -> tuple[Vocabulary, np.ndarray, sp.csr_array]:
+             cfg: FeaturizeConfig) -> tuple[Vocabulary, np.ndarray, RowBlocks]:
     """The vocabulary fitted on ``rows`` of the count matrix (all rows for None),
-    its column map, and the TF-IDF matrix of those rows.
+    its column map, and the TF-IDF matrix of those rows as ``RowBlocks``.
 
-    Equal to ``fit_vocabulary`` then ``transform`` of the same texts, bit for bit.
+    The blocks hold about ``_BLOCK_COUNTS`` stored counts each; joined, they
+    equal ``fit_vocabulary`` then ``transform`` of the same texts, bit for bit.
     """
-    counts = tc.counts if rows is None else tc.counts[rows]
-    vocab, columns = _vocabulary(counts, tc.terms, cfg)
-    return vocab, columns, _tfidf(counts, columns, vocab)
+    rows = np.arange(tc.counts.shape[0]) if rows is None else rows
+    ends = np.cumsum(np.diff(tc.counts.indptr)[rows])
+    blocks = np.split(rows, np.flatnonzero(np.diff(ends // _BLOCK_COUNTS)) + 1)
+    df = np.zeros(len(tc.terms), dtype=np.int64)
+    for block in blocks:
+        df += np.bincount(tc.counts[block].indices, minlength=len(tc.terms))
+    vocab, columns = _vocabulary(df, len(rows), tc.terms, cfg)
+    cut = (_tfidf(tc.counts[block], columns, vocab) for block in blocks)
+    return vocab, columns, RowBlocks((len(rows), vocab.size), int(vocab.df.sum()), cut)
 
 
 def transform_rows(tc: TermCounts, rows: np.ndarray, vocab: Vocabulary,
@@ -166,8 +185,7 @@ def fit_vocabulary(texts: list[str], cfg: FeaturizeConfig | None = None) -> Voca
     ``max_features`` is set, the top terms by (df, then lexicographic
     ascending) are kept.
     """
-    tc = count_terms(texts)
-    return _vocabulary(tc.counts, tc.terms, cfg or FeaturizeConfig())[0]
+    return fit_rows(count_terms(texts), None, cfg or FeaturizeConfig())[0]
 
 
 def transform(texts: list[str], vocab: Vocabulary) -> sp.csr_array:

@@ -18,6 +18,9 @@ sample weights and seed, and each comes out bit for bit as it would alone.
 The group's features are stacked into one CSR array: model f's rows follow
 model f-1's, and its columns are shifted past the widths of the models
 before it, so its rows touch only its own block of the stacked weights.
+``_stack``, the one writer, allocates them once at their exact size and
+writes each model's row blocks (``featurize.RowBlocks``; a matrix is one
+block) at its offsets as they are cut, so a group holds its features once.
 Each model's bias is one more row of those weights: ``_stack`` ends each of
 model f's rows, last in storage order, with 1.0 in column V + f (V is the
 total feature width), a lone model's too.  The kernels below then treat the
@@ -70,7 +73,9 @@ is computed as a lone model computes it (``_loss``, on its feature block).
 A model whose loss is non-finite has failed: its later batches of the epoch
 still run, on its own block and bias row, and when the epoch ends it drops
 out with both zeroed, as a model stopped by patience does, so its failure
-does not touch the others.
+does not touch the others.  The steps and the epoch-loss checks run with
+numpy's overflow and invalid-value warnings off, so the recorded
+``non-finite loss at epoch N`` is a failure's only report.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs, csr_row_index
 
 from wsdenoise.corpus import as_labels
+from wsdenoise.featurize import RowBlocks
 
 # a step's loss terms below this cannot add up to a non-finite loss: the
 # float64 maximum is 1.8e308
@@ -196,9 +202,17 @@ def loss_and_grad(weights, bias, indptr, indices, data, y, sample_weights, l2):
     return _loss(t, wsum, weights, l2), gw[:v] + 2.0 * l2 * weights, gw[v]
 
 
-def _checked(features, labels, sample_weights, num_classes):
-    """One model's float64 CSR features, int labels and float sample weights, validated."""
+def _as_blocks(features) -> RowBlocks:
+    """``features`` as ``RowBlocks``; any other matrix is one float64 CSR block."""
+    if isinstance(features, RowBlocks):
+        return features
     x = sp.csr_array(features, dtype=np.float64)
+    return RowBlocks(x.shape, x.nnz, iter((x,)))
+
+
+def _checked(features, labels, sample_weights, num_classes):
+    """One model's features as ``RowBlocks``, int labels and float sample weights, validated."""
+    x = _as_blocks(features)
     y = as_labels(labels)
     n = x.shape[0]
     if n == 0:
@@ -223,29 +237,35 @@ def _checked(features, labels, sample_weights, num_classes):
 def _stack(xs: list) -> sp.csr_array:
     """The models' rows one after another, each row ending with its model's bias entry.
 
-    Model f's columns are shifted past the models before it, and its bias
-    entry is 1.0 in column ``V + f``, ``V`` the total width.  Empties ``xs``
-    as it copies, so a model's matrix that nothing else holds is freed
-    before the next one is copied.
+    Each entry of ``xs`` is a matrix or ``RowBlocks``.  Model f's columns are
+    shifted past the models before it, and its bias entry is 1.0 in column
+    ``V + f``, ``V`` the total width.  The arrays are allocated once, and
+    each block is written as it is read; ``xs`` is emptied as it goes.
     """
+    xs[:] = map(_as_blocks, xs)
     count, n_rows = len(xs), sum(x.shape[0] for x in xs)
     width = sum(x.shape[1] for x in xs)
-    total = n_rows + sum(int(x.indptr[-1] - x.indptr[0]) for x in xs)
+    total = n_rows + sum(x.nnz for x in xs)
     dtype = np.int32 if max(total, width + count) < 2 ** 31 else np.int64
     data, indices = np.empty(total), np.empty(total, dtype=dtype)
     indptr = np.zeros(n_rows + 1, dtype=dtype)
     at = row = col = 0
     for f in range(count):
-        x, xs[f] = xs[f], None
-        n, lo, hi = x.shape[0], int(x.indptr[0]), int(x.indptr[-1])
-        ends = indptr[row + 1:row + 1 + n]  # row r's entries, then its bias entry, end here
-        np.add(x.indptr[1:], np.arange(at - lo + 1, at - lo + 1 + n), out=ends)
-        feature = np.ones(hi - lo + n, dtype=bool)
-        feature[ends - at - 1] = False
-        data[at:at + hi - lo + n][feature] = x.data[lo:hi]
-        indices[at:at + hi - lo + n][feature] = x.indices[lo:hi] + col
-        data[ends - 1], indices[ends - 1] = 1.0, width + f
-        at, row, col = at + hi - lo + n, row + n, col + x.shape[1]
+        source, xs[f] = xs[f], None
+        for x in source.blocks:
+            n, nnz = x.shape[0], int(x.indptr[-1])
+            ends = indptr[row + 1:row + 1 + n]  # row r's entries, then its bias entry, end here
+            np.add(x.indptr[1:], np.arange(at + 1, at + 1 + n), out=ends)
+            feature = np.ones(nnz + n, dtype=bool)
+            feature[ends - at - 1] = False
+            data[at:at + nnz + n][feature] = x.data[:nnz]
+            indices[at:at + nnz + n][feature] = x.indices[:nnz] + col
+            data[ends - 1], indices[ends - 1] = 1.0, width + f
+            at, row = at + nnz + n, row + n
+            del x  # before the next block is cut
+        col += source.shape[1]
+    if (at, row) != (total, n_rows):
+        raise ValueError("row blocks disagree with their declared shape and entries")
     xs.clear()
     return sp.csr_array((data, indices, indptr), shape=(n_rows, width + count))
 
@@ -380,8 +400,9 @@ def train_group(features, labels: list, sample_weights: list | None = None,
     comes from ``cfg``.  Returns, per model, the ``Model`` that ``train``
     returns for it alone, or the ``RuntimeError`` that stopped it (a
     non-finite loss).  A model that fails leaves the others running.
-    ``features`` may be any iterable: a matrix nothing else holds is freed
-    once it is stacked.
+    ``features`` may be any iterable of matrices and ``featurize.RowBlocks``;
+    a model's blocks are cut as ``_stack`` writes them, so the group holds
+    its features once, and a block nothing else holds is freed once written.
     """
     cfg = cfg or ClassifierConfig()
     features = list(features)
@@ -415,40 +436,41 @@ def train_group(features, labels: list, sample_weights: list | None = None,
         fits[f].error = RuntimeError(f"non-finite loss at epoch {epoch}; learning rate too large?")
         drop(f)
 
-    for epoch in range(cfg.epochs):
-        if not live:
-            break
-        perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
-                 fits[f].rows.stop - fits[f].rows.start) for f in live}
-        for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, fits,
-                            np.diff(cols), cfg):
-            fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
-        if not live:
-            break
-        # the epoch-loss terms of each run of consecutive live models from one
-        # pass over its rows; rows are independent, so each model's terms come
-        # out as they would alone
-        terms = {}
-        for f0, f1 in _runs(live):
-            lo, hi = rows[f0], rows[f1]
-            _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w, y[lo:hi], sw[lo:hi])
-            for f in range(f0, f1):
-                terms[f] = t[rows[f] - lo:rows[f + 1] - lo]
-        for f in list(live):
-            fit = fits[f]
-            epoch_loss = float(_loss(terms[f], sw[fit.rows].sum(), w[fit.cols], cfg.l2))
-            if not np.isfinite(epoch_loss):
-                fail(f, epoch)
-                continue
-            fit.log.append(epoch_loss)
-            if epoch_loss < fit.best_loss:
-                fit.best_loss = epoch_loss
-                fit.best = (w[fit.cols].copy(), w[v + f].copy())
-                fit.bad_epochs = 0
-            else:
-                fit.bad_epochs += 1
-                if fit.bad_epochs >= cfg.patience:
-                    drop(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if not live:
+                break
+            perms = {f: np.random.default_rng([fits[f].seed, epoch]).permutation(
+                     fits[f].rows.stop - fits[f].rows.start) for f in live}
+            for f in _run_steps(x, y, sw, _Epoch(sw, fits, perms, cfg.batch_size), w, fits,
+                                np.diff(cols), cfg):
+                fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
+            if not live:
+                break
+            # the epoch-loss terms of each run of consecutive live models from one
+            # pass over its rows; rows are independent, so each model's terms come
+            # out as they would alone
+            terms = {}
+            for f0, f1 in _runs(live):
+                lo, hi = rows[f0], rows[f1]
+                _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w, y[lo:hi], sw[lo:hi])
+                for f in range(f0, f1):
+                    terms[f] = t[rows[f] - lo:rows[f + 1] - lo]
+            for f in list(live):
+                fit = fits[f]
+                epoch_loss = float(_loss(terms[f], sw[fit.rows].sum(), w[fit.cols], cfg.l2))
+                if not np.isfinite(epoch_loss):
+                    fail(f, epoch)
+                    continue
+                fit.log.append(epoch_loss)
+                if epoch_loss < fit.best_loss:
+                    fit.best_loss = epoch_loss
+                    fit.best = (w[fit.cols].copy(), w[v + f].copy())
+                    fit.bad_epochs = 0
+                else:
+                    fit.bad_epochs += 1
+                    if fit.bad_epochs >= cfg.patience:
+                        drop(f)
 
     return [fit.error or Model(*fit.best, training_log=fit.log) for fit in fits]
 

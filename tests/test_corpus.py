@@ -1,3 +1,4 @@
+import codecs
 import os
 import tempfile
 
@@ -45,6 +46,21 @@ class TestLoadDataset:
         ds = load_dataset(*paths[:3])
         assert (ds.n_samples, ds.n_lfs, ds.num_classes) == (3, 2, 2)
         assert ds.ids == ["a", "b", "c"]
+
+    def test_byte_order_marks_are_skipped(self, tmp_path):
+        paths = write_files(
+            tmp_path,
+            docs=[("a", "hello"), ("b", "world")],
+            z_lines=["2 2", "a\t0", "b\t1"],
+            t_lines=["2 2", "0\t0", "1\t1"],
+            gold=[("a", 0), ("b", 1)],
+        )
+        for p in paths:
+            p.write_bytes(codecs.BOM_UTF8 + p.read_bytes())
+        ds = load_dataset(*paths)
+        assert ds.ids == ["a", "b"]
+        assert ds.gold.tolist() == [0, 1]
+        assert ds.z.toarray().tolist() == [[1, 0], [0, 1]]
 
     def test_lf_index_out_of_range(self, tmp_path):
         paths = write_files(

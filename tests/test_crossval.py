@@ -376,7 +376,8 @@ class TestFoldGroups:
 
     def test_300_word_documents_train_alone(self, monkeypatch):
         # 3000 documents of 300 words drawn from 2000 terms: each training fold
-        # holds about 2400 documents of some 280 distinct terms, over the bound
+        # holds about 2400 documents of some 280 distinct terms, and any two
+        # folds together are over the bound
         rng = np.random.default_rng(5)
         terms = np.array([f"w{i}" for i in range(2000)])
         texts = [" ".join(row) for row in terms[rng.integers(2000, size=(3000, 300))]]
@@ -385,6 +386,24 @@ class TestFoldGroups:
         plan = plan_random(ds, k=5, seed=5)
         sizes, _ = self.group_sizes(monkeypatch, ds, plan, ClassifierConfig(epochs=1))
         assert sizes == [1] * 5
+
+    def test_groups_at_the_single_copy_bound_leave_probabilities_unchanged(self, monkeypatch):
+        # 1000 documents of 400 words drawn from 2000 terms: each training fold
+        # holds about 290k stored counts, so under the former bound of 2^19 every
+        # fold trains alone, and under the current one in groups of 3 and 2
+        rng = np.random.default_rng(9)
+        terms = np.array([f"w{i}" for i in range(2000)])
+        texts = [" ".join(row) for row in terms[rng.integers(2000, size=(1000, 400))]]
+        z = np.eye(10, dtype=np.int8)[np.arange(1000) % 10]
+        ds = make_dataset(z, np.tile(np.eye(2), (5, 1)), texts=texts)
+        plan = plan_random(ds, k=5, seed=9)
+        cfg = ClassifierConfig(epochs=2, seed=9)
+        now, a = self.group_sizes(monkeypatch, ds, plan, cfg)
+        before, _ = self.group_sizes(monkeypatch, ds, plan, cfg, bound=1 << 19)
+        alone, b = self.group_sizes(monkeypatch, ds, plan, cfg, bound=0)
+        assert now == [3, 2] and before == alone == [1] * 5
+        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a.prediction_count, b.prediction_count)
 
     def test_each_group_predicts_before_the_next_is_cut(self, monkeypatch):
         ds, _ = generate(SynthConfig(n_samples=200, n_lfs=8, seed=6))

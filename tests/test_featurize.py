@@ -101,3 +101,50 @@ class TestTransform:
         ratio_one = one[[0], [j]] / one[[0], [jd]]
         ratio_two = two[[0], [j]] / two[[0], [jd]]
         assert ratio_two > ratio_one
+
+
+class TestFitRows:
+    """``fit_rows`` cuts its rows in blocks that join to ``_tfidf`` of the whole row set."""
+
+    @staticmethod
+    def corpus():
+        """300 documents of 400 words from 2000 terms (about 110k stored counts), with empty
+        rows, a punctuation-only row and rows of terms that occur nowhere else."""
+        rng = np.random.default_rng(11)
+        terms = np.array([f"w{i}" for i in range(2000)])
+        texts = [" ".join(row) for row in terms[rng.integers(2000, size=(300, 400))]]
+        texts[3], texts[4], texts[150], texts[299] = "", "?! ...", "", "lonely once"
+        texts[7] = "rare unique words"
+        return featurize.count_terms(texts)
+
+    @pytest.mark.parametrize("block", [1, 7, featurize._BLOCK_COUNTS])
+    @pytest.mark.parametrize("cfg", [FeaturizeConfig(), FeaturizeConfig(min_df=2),
+                                     FeaturizeConfig(max_features=50),
+                                     FeaturizeConfig(min_df=2, max_features=50)])
+    def test_blocks_join_to_the_whole_cut(self, monkeypatch, block, cfg):
+        tc = self.corpus()
+        monkeypatch.setattr(featurize, "_BLOCK_COUNTS", block)
+        for rows in (None, np.arange(1, 300, 2), np.array([2, 3, 4, 7, 150, 298, 299])):
+            vocab, columns, x = featurize.fit_rows(tc, rows, cfg)
+            counts = tc.counts if rows is None else tc.counts[rows]
+            df = np.bincount(counts.indices, minlength=len(tc.terms))
+            assert np.array_equal(vocab.df, df[columns >= 0])
+            whole = featurize._tfidf(counts, columns, vocab)
+            if rows is None and cfg != FeaturizeConfig():  # rows 7 and 299 lose every term
+                assert counts[[7, 299]].nnz > 0 and whole[[7, 299]].nnz == 0
+            assert x.shape == whole.shape and x.nnz == whole.nnz
+            blocks, top = list(x.blocks), 0
+            for b in blocks:
+                n, lo = b.shape[0], whole.indptr[top]
+                hi = whole.indptr[top + n]
+                assert b.shape[1] == whole.shape[1]
+                assert b.indptr.dtype == whole.indptr.dtype
+                assert b.indptr.tobytes() == (whole.indptr[top:top + n + 1] - lo).tobytes()
+                assert b.indices.dtype == whole.indices.dtype
+                assert b.indices.tobytes() == whole.indices[lo:hi].tobytes()
+                assert b.data.tobytes() == whole.data[lo:hi].tobytes()
+                top += n
+            assert top == whole.shape[0]
+            if rows is None:  # the whole corpus spans several blocks at every size
+                assert len(blocks) > 1
+            assert list(x.blocks) == []  # the blocks are read once

@@ -4,7 +4,8 @@
 what the featurizer produced, or to the text of the error it raised:
 
 * ``folds/...``: the train and test matrices every fold of ``estimate_oos``
-  hands to its classifier, captured on real plans over several
+  hands to its classifier (the train matrix joined from the row blocks
+  ``fit_rows`` cuts), captured on real plans over several
   ``FeaturizeConfig``s (the default, ``min_df=2``, ``max_features=40``, both,
   and a ``min_df`` that leaves the vocabulary empty);
 * ``vocab/...`` and ``transform/...``: the public ``fit_vocabulary`` index,
@@ -29,6 +30,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wsdenoise import crossval
 from wsdenoise.corpus import majority_vote
@@ -71,6 +73,11 @@ def _sha(*parts) -> str:
 
 def _csr_digest(x) -> str:
     return _sha(x.shape, *[(str(a.dtype), a.tobytes()) for a in (x.data, x.indices, x.indptr)])
+
+
+def _joined(x):
+    """The matrix of the ``RowBlocks`` ``x``, its blocks stacked."""
+    return sp.vstack(list(x.blocks), format="csr")
 
 
 def _vocab_digest(v) -> str:
@@ -120,7 +127,7 @@ def _fold_digests(ds, labels, plan, feat) -> list:
 
     def fake_train_group(features, labels, sample_weights=None, cfg=None, seeds=None, *,
                          num_classes):
-        digests = [_csr_digest(x) for x in features]
+        digests = [_csr_digest(_joined(x)) for x in features]
         trains.extend(digests)
         return [num_classes] * len(digests)
 
@@ -200,7 +207,7 @@ def test_final_model_matches_fit_vocabulary_then_transform(fname):
             x = transform(texts, vocab)
             got_vocab, _, got_x = fit_rows(ds.term_counts, rows, feat)
             assert _vocab_digest(got_vocab) == _vocab_digest(vocab)
-            assert _csr_digest(got_x) == _csr_digest(x)
+            assert _csr_digest(_joined(got_x)) == _csr_digest(x)
             want = train(x, y, sample_weights=weights, cfg=clf, num_classes=ds.num_classes)
             got = train_text_model(ds, y, rows, weights, feat, clf)
             assert _vocab_digest(got.vocab) == _vocab_digest(vocab)

@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
-from wsdenoise import linear
+from wsdenoise import featurize, linear
+from wsdenoise.featurize import FeaturizeConfig, count_terms, fit_rows
 from wsdenoise.linear import (
     ClassifierConfig,
     Model,
@@ -405,6 +409,23 @@ class TestTrainGroup:
         assert isinstance(group[1], RuntimeError)
         assert passes == [50, 64] * 3
 
+    def test_a_diverging_model_warns_nothing(self):
+        # under this learning rate and l2 the weights grow geometrically: models
+        # 0 and 2 overflow at epochs 11 and 9, model 1 (23 rows) never does
+        rng = np.random.default_rng(3)
+        xs, ys = [], []
+        for n, v in [(50, 9), (23, 14), (64, 6)]:
+            xs.append(rng.random((n, v)) * (rng.random((n, v)) < 0.4))
+            ys.append(rng.integers(3, size=n))
+        cfg = ClassifierConfig(learning_rate=50.0, epochs=20, batch_size=8, l2=1.0, patience=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            group = train_group(xs, ys, None, cfg, num_classes=3)
+        assert [w.message for w in caught] == []
+        assert [str(g) for g in group[::2]] == [
+            f"non-finite loss at epoch {e}; learning rate too large?" for e in (11, 9)]
+        assert _same(group[1], train(xs[1], ys[1], cfg=cfg, num_classes=3))
+
     def test_inputs_must_pair_up(self, rng):
         x, y, sw = self.members(rng)[0]
         with pytest.raises(ValueError, match="one feature matrix, label vector"):
@@ -460,6 +481,25 @@ class TestStack:
         assert self.entries(stacked) == want
         for x, old in zip(models, before):
             assert all(np.array_equal(a, c) for a, c in zip((x.indptr, x.indices, x.data), old))
+
+
+    def test_a_fold_is_written_once(self):
+        # 1600 documents of 300 words from 2000 terms: about 2^19 stored counts.
+        # Cutting the fold whole and then stacking a copy of it would need more
+        # than twice the stacked bytes; block by block it needs a block's worth
+        rng = np.random.default_rng(8)
+        terms = np.array([f"w{i}" for i in range(2000)])
+        tc = count_terms([" ".join(row) for row in terms[rng.integers(2000, size=(1600, 300))]])
+        tracemalloc.start()
+        try:
+            _, _, blocks = fit_rows(tc, np.arange(1600), FeaturizeConfig())
+            stacked = linear._stack([blocks])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (stacked.data, stacked.indices, stacked.indptr))
+        assert stacked.nnz - 1600 > 1 << 18
+        assert peak < size + 48 * featurize._BLOCK_COUNTS
 
 
 class TestPredictProba:
