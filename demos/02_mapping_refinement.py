@@ -44,4 +44,5 @@ print(f"corrected-label accuracy after refinement: {acc:.3f}")
 print(f"mapping row for LF 0 after:  "
       f"{np.round(res.refined_t[0], 3).tolist()}")
 print(f"iterations run: {res.iterations_run}, "
-      f"label-change fractions: {[round(f, 4) for f in res.label_change_fractions]}")
+      f"label-change fractions: "
+      f"{[round(d['label_change_fraction'], 4) for d in res.diagnostics]}")

@@ -72,6 +72,8 @@ _RUN_TYPES = _field_types(RunConfig)
 _SYNTH_TYPES = _field_types(SynthConfig)
 # verb options that are not config fields; a budget of none means no limit
 _VERB_TYPES = {"budget": (int, True), "stats_repeats": (int, False)}
+_VERB_OF = {"budget": "grid", "stats_repeats": "stats"}  # the one verb that takes each
+_METHOD_OF = {"baseline": "baseline_majority", "stats": "baseline_majority"}  # else the verb
 
 
 def _coerce(key: str, value: str, types: dict):
@@ -95,13 +97,10 @@ def _coerce(key: str, value: str, types: dict):
 def _build_run_config(values: dict, method: str) -> RunConfig:
     kwargs = {"method": method}
     for key, raw in values.items():
-        if key in ("budget", "stats_repeats"):
-            continue
         if key not in _RUN_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "method":
-            continue
-        kwargs[key] = _coerce(key, raw, _RUN_TYPES) if isinstance(raw, str) else raw
+        if key != "method":
+            kwargs[key] = _coerce(key, raw, _RUN_TYPES)
     return RunConfig(**kwargs)
 
 
@@ -110,7 +109,7 @@ def _build_grid(values: dict):
     space = {}
     scalars = {}
     for key, raw in values.items():
-        if key in GRIDABLE and isinstance(raw, str) and "," in raw:
+        if key in GRIDABLE and "," in raw:
             space[key] = [_coerce(key, v, _RUN_TYPES) for v in raw.split(",")]
         else:
             scalars[key] = raw
@@ -132,7 +131,7 @@ def _cmd_synth(values: dict) -> int:
                                      f"got {item!r}") from None
             kwargs[key] = pairs
         elif key in _SYNTH_TYPES:
-            kwargs[key] = _coerce(key, raw, _SYNTH_TYPES) if isinstance(raw, str) else raw
+            kwargs[key] = _coerce(key, raw, _SYNTH_TYPES)
         else:
             raise ValueError(f"unknown synth config key {key!r}")
     cfg = SynthConfig(**kwargs)
@@ -160,13 +159,21 @@ def main(argv=None) -> int:
 
     values = parse_config_file(ns.config) if ns.config else {}
     values.update(_parse_overrides(rest))
+    for key, verb in _VERB_OF.items():
+        if key in values and ns.verb != verb:
+            raise ValueError(f"--{key} is a {verb} option; the {ns.verb} verb does not take it")
 
     if ns.verb == "synth":
         return _cmd_synth(values)
 
+    method = (values.pop("method", "ulf") if ns.verb == "grid"
+              else _METHOD_OF.get(ns.verb, ns.verb))
+    if values.get("method", method) != method:
+        raise ValueError(f"--method {values['method']!r} disagrees with the {ns.verb} verb")
+
     if ns.verb == "stats":
         repeats = _coerce("stats_repeats", values.pop("stats_repeats", "5"), _VERB_TYPES)
-        cfg = _build_run_config(values, "baseline_majority")
+        cfg = _build_run_config(values, method)
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
         print(json.dumps(stats_report(ds, repeats=repeats, seed=cfg.seed),
                          indent=1, sort_keys=True))
@@ -174,7 +181,6 @@ def main(argv=None) -> int:
 
     if ns.verb == "grid":
         budget = _coerce("budget", values.pop("budget", "none"), _VERB_TYPES)
-        method = values.pop("method", "ulf")
         scalars, space = _build_grid(values)
         base = _build_run_config(scalars, method)
         if not space:
@@ -187,7 +193,6 @@ def main(argv=None) -> int:
         }, indent=1, sort_keys=True))
         return 0
 
-    method = {"baseline": "baseline_majority"}.get(ns.verb, ns.verb)
     cfg = _build_run_config(values, method)
     report = run(cfg)
     print(json.dumps({

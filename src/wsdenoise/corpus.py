@@ -184,7 +184,8 @@ def dataset_stats(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> DatasetSt
 
 def _read_lines(path):
     with open(path, encoding="utf-8") as f:
-        return f.read().removeprefix("\ufeff").splitlines()  # as utf-8-sig reads, without its cost
+        text = f.read().removeprefix("\ufeff")  # as utf-8-sig reads, without its cost
+    return text.split("\n") if text else []  # not splitlines(), which also splits at \x85, ...
 
 
 def read_documents(doc_path):
@@ -314,7 +315,18 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
 
 
 def save_dataset(ds: WeakDataset, doc_path, z_path, t_path, gold_path=None) -> None:
-    """Write a dataset back out in the canonical formats (round-trips exactly)."""
+    """Write a dataset back out in the canonical formats (round-trips exactly).
+
+    Raises ``ValueError``, naming the sample id and before writing anything,
+    on an id holding a tab or a line break or starting with a byte-order
+    mark, or a text holding a line break: the files could not hold them.
+    """
+    for sid, text in zip(ds.ids, ds.texts):
+        if any(c in sid for c in "\t\n\r") or sid.startswith("\ufeff"):
+            raise ValueError(f"sample id {sid!r}: an id cannot hold a tab or a line break "
+                             "or start with a byte-order mark")
+        if "\n" in text or "\r" in text:
+            raise ValueError(f"sample id {sid!r}: its text holds a line break")
     with open(doc_path, "w", encoding="utf-8") as f:
         for sid, text in zip(ds.ids, ds.texts):
             f.write(f"{sid}\t{text}\n")

@@ -7,10 +7,13 @@ documents with no in-vocabulary tokens).
 
 ``count_terms`` is the one counter: it tokenizes every document once into a
 ``TermCounts``, an N x T matrix of term counts over the sorted distinct
-terms.  ``_tfidf`` is the one cut: a column map sends each count column to a
-vocabulary column, or to -1 for a term the vocabulary does not keep, and the
-kept counts are scaled by idf and L2-normalized row by row.  Rows are cut
-independently, so a block of rows comes out as those rows of a larger cut.
+terms.  It streams every token's term id into one array, maps the ids to
+sorted-term ranks once all terms are known, and lets the CSR matrix sum its
+duplicate entries, one per token, into counts.  ``_tfidf`` is the one cut: a
+column map sends each count column to a vocabulary column, or to -1 for a
+term the vocabulary does not keep, and the kept counts are scaled by idf and
+L2-normalized row by row.  Rows are cut independently, so a block of rows
+comes out as those rows of a larger cut.
 
 ``fit_rows`` fits a vocabulary on some rows of a dataset's count matrix
 (each fold's training rows, or the final model's) and returns their cut as
@@ -33,7 +36,6 @@ import numpy as np
 import scipy.sparse as sp
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_CHUNK_TOKENS = 1 << 12  # tokens counted in one vectorized pass; bounds their memory
 _BLOCK_COUNTS = 1 << 16  # stored counts in one block of ``fit_rows``; bounds its temporaries
 
 
@@ -72,42 +74,28 @@ class RowBlocks:
     blocks: Iterator          # CSR arrays of consecutive rows, top to bottom
 
 
-def _token_chunks(texts: list[str]):
-    """Each text's tokens, in runs of consecutive texts of about ``_CHUNK_TOKENS`` tokens."""
-    chunk, size = [], 0
-    for text in texts:
-        tokens = tokenize(text)
-        chunk.append(tokens)
-        size += len(tokens)
-        if size >= _CHUNK_TOKENS:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
 def count_terms(texts: list[str]) -> TermCounts:
     """Tokenize each text once into a document-by-term count matrix over sorted terms."""
-    index = defaultdict(count().__next__)  # an unseen term takes the next column
-    data, first_seen = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    row_nnz = [np.zeros(0, dtype=np.int64)]
-    for chunk in _token_chunks(texts):
-        n_tokens = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        ids = np.fromiter(map(index.__getitem__, chain.from_iterable(chunk)), dtype=np.int64,
-                          count=int(n_tokens.sum()))
-        rows = np.repeat(np.arange(len(chunk)), n_tokens)
-        width = int(ids.max(initial=0)) + 1
-        cells, counts = np.unique(rows * width + ids, return_counts=True)
-        data.append(counts.astype(np.int32))
-        first_seen.append((cells % width).astype(np.int32))
-        row_nnz.append(np.bincount(cells // width, minlength=len(chunk)))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz)))).astype(np.int32)
+    index = defaultdict(count().__next__)  # an unseen term takes the next id
+    lengths = []  # tokens per text
+
+    def tokens(text: str) -> list[str]:
+        found = tokenize(text)
+        lengths.append(len(found))
+        return found
+
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(map(tokens, texts))),
+                      dtype=np.int32)
     terms = sorted(index)
     rank = np.empty(len(terms), dtype=np.int32)
     rank[[index[t] for t in terms]] = np.arange(len(terms), dtype=np.int32)
-    counts = sp.csr_array((np.concatenate(data), rank[np.concatenate(first_seen)], indptr),
+    ids = rank[ids]  # before the sum, so its one sort per row leaves columns in term order
+    indptr = np.zeros(len(texts) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    # one entry of 1 per token; adding a row's equal columns counts them
+    counts = sp.csr_array((np.ones(ids.size, dtype=np.int32), ids, indptr),
                           shape=(len(texts), len(terms)))
-    counts.sort_indices()
+    counts.sum_duplicates()
     return TermCounts(terms, counts)
 
 

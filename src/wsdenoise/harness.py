@@ -322,8 +322,8 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
     Evaluation source, in order of preference: final-classifier predictions
     on the test split; otherwise corrected labels against training gold.
     The final classifier is trained only when a dev or test split needs its
-    predictions.  When a dev split is provided, the repeat with the best dev
-    score supplies the written artifacts; otherwise the last repeat does.
+    predictions.  When a dev split is provided, the first repeat with the best
+    dev score supplies the written artifacts; otherwise the last repeat does.
     A repeat that raises is recorded in ``failures`` with its exception type
     and skipped; the run raises only when every repeat fails.
     """
@@ -341,7 +341,7 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
     train_final = dev is not None or test is not None  # only held-out splits use the model
 
     values, dev_values, failures = [], [], []
-    outcomes = []
+    best = None  # (dev value, result) of the repeat whose artifacts are written
     seeds = [derive_seed(cfg.seed, 800, r) for r in range(cfg.repeats)]
     for r, seed in enumerate(seeds):
         try:
@@ -358,7 +358,9 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
             dev_value = evaluate(result.final_model.predict(dev[0]), dev[1], cfg.metric)
             dev_values.append(dev_value)
         values.append(value)
-        outcomes.append((dev_value, result))
+        if best is None or dev is None or dev_value > best[0]:
+            best = (dev_value, result)
+        del result  # while the next repeat runs, only the chosen one is held
 
     if not values:
         raise RuntimeError("all repeats failed: " + "; ".join(failures))
@@ -371,12 +373,7 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
         dev_mean=float(np.mean(dev_values)) if dev_values else None,
         failures=failures, partial=bool(failures),
     )
-
-    if dev is not None:
-        best = max(range(len(outcomes)), key=lambda i: outcomes[i][0])
-    else:
-        best = len(outcomes) - 1
-    _write_artifacts(cfg.out_dir, cfg, ds, outcomes[best][1], report, seeds)
+    _write_artifacts(cfg.out_dir, cfg, ds, best[1], report, seeds)
     return report
 
 

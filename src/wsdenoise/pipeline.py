@@ -63,9 +63,8 @@ class DenoiseResult:
     final_labels: LabelVector
     refined_t: np.ndarray
     iterations_run: int = 1                  # ULF refinement passes
-    label_change_fractions: list = field(default_factory=list)  # ULF, per iteration
     final_model: TextModel | None = None
-    diagnostics: list = field(default_factory=list)             # ULF, per iteration
+    diagnostics: list = field(default_factory=list)  # ULF, per iteration
     sample_weights: object = None            # wscw.SampleWeights
     keep_mask: np.ndarray | None = None      # WSCL
     prune_report: dict | None = None         # WSCL

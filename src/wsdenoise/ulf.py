@@ -105,7 +105,6 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
     # carries those labels over
     final = train_labels = majority_vote(ds, t_hat, _vote_seed(cfg.seed, 1))
 
-    fractions: list[float] = []
     diagnostics: list[dict] = []
     stall = 0
 
@@ -127,7 +126,6 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
         except (RuntimeError, ValueError) as exc:
             raise RuntimeError(f"ULF iteration {it}: {exc}") from exc
 
-        fractions.append(frac)
         diagnostics.append({
             "iteration": it,
             "label_change_fraction": frac,
@@ -147,7 +145,6 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
         final_labels=final,
         refined_t=t_hat,
         iterations_run=it,
-        label_change_fractions=fractions,
         final_model=model,
         diagnostics=diagnostics,
         last_plan=plan,  # the last iteration's

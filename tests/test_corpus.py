@@ -1,5 +1,6 @@
 import codecs
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -131,11 +132,52 @@ class TestLoadDataset:
             assert a.read_bytes() == b.read_bytes()
 
 
-# what one TSV field can hold: no tab, nothing str.splitlines breaks on, no
-# lone surrogate (not encodable as UTF-8)
-_FIELD = st.text(st.characters(exclude_categories=("Cs",),
-                               exclude_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
-                 max_size=20)
+    # every character str.splitlines breaks at, apart from \n and \r
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029"])
+    def test_round_trip_keeps_other_line_separators(self, tmp_path, sep):
+        ds = make_dataset([[1, 0], [0, 1]], [[1, 0], [0, 1]], texts=[f"a{sep}b", sep],
+                          ids=[f"x{sep}", "y"], gold=[0, 1])
+        paths = [tmp_path / n for n in ("docs.tsv", "z.tsv", "t.tsv", "gold.tsv")]
+        save_dataset(ds, *paths)
+        back = load_dataset(*paths)
+        assert back.ids == ds.ids and back.texts == ds.texts
+        assert back.gold.tolist() == [0, 1] and back.z.toarray().tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("sid, text, why", [
+        ("a\tb", "x", "an id cannot hold"), ("a\nb", "x", "an id cannot hold"),
+        ("a\rb", "x", "an id cannot hold"), ("\ufeffa", "x", "byte-order mark"),
+        ("ok", "x\ny", "its text holds a line break"),
+        ("ok", "x\ry", "its text holds a line break"),
+    ])
+    def test_save_rejects_what_would_load_differently(self, tmp_path, sid, text, why):
+        ds = make_dataset([[1], [1]], [[1, 0]], texts=["fine", text], ids=["first", sid])
+        paths = [tmp_path / n for n in ("docs.tsv", "z.tsv", "t.tsv")]
+        with pytest.raises(ValueError, match=f"sample id {re.escape(repr(sid))}: .*{why}"):
+            save_dataset(ds, *paths)
+        assert not any(p.exists() for p in paths)
+
+    def test_lines_split_at_newlines_only(self, tmp_path):
+        doc_p = tmp_path / "docs.tsv"
+        doc_p.write_text("a\tone\u2028two\nb\t\n\n", encoding="utf-8")
+        (tmp_path / "z.tsv").write_text("2 1\nb\t0\n")
+        (tmp_path / "t.tsv").write_text("1 2\r\n0\t1\r\n")
+        ds = load_dataset(doc_p, tmp_path / "z.tsv", tmp_path / "t.tsv")
+        assert ds.ids == ["a", "b"] and ds.texts == ["one\u2028two", ""]
+        assert ds.z.toarray().tolist() == [[0], [1]] and ds.t.tolist() == [[0.0, 1.0]]
+        for name in ("z.tsv", "t.tsv"):
+            (tmp_path / name).write_text("")
+            with pytest.raises(ValueError, match=f"{name}: empty file"):
+                load_dataset(doc_p, tmp_path / "z.tsv", tmp_path / "t.tsv")
+            (tmp_path / name).write_text({"z.tsv": "2 1\n", "t.tsv": "1 2\n0\t1\n"}[name])
+
+
+# what one TSV field can hold: no tab (in an id) or line break, no leading
+# byte-order mark (in an id), no lone surrogate (not encodable as UTF-8)
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
+                max_size=20)
+_ID = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+              max_size=20).filter(lambda s: not s.startswith("\ufeff"))
 
 
 @st.composite
@@ -147,8 +189,8 @@ def tsv_datasets(draw):
     t[np.arange(n_lfs), draw(arrays(np.int64, n_lfs, elements=st.integers(0, k - 1)))] = 1.0
     gold = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, k - 1)))
     return make_dataset(draw(arrays(np.int8, (n, n_lfs), elements=st.integers(0, 1))), t,
-                        texts=draw(st.lists(_FIELD, min_size=n, max_size=n)), gold=gold,
-                        ids=draw(st.lists(_FIELD, min_size=n, max_size=n, unique=True)))
+                        texts=draw(st.lists(_TEXT, min_size=n, max_size=n)), gold=gold,
+                        ids=draw(st.lists(_ID, min_size=n, max_size=n, unique=True)))
 
 
 class TestRoundTripProperties:

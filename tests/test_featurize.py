@@ -1,7 +1,11 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdenoise import featurize
 from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, tokenize, transform
@@ -101,6 +105,46 @@ class TestTransform:
         ratio_one = one[[0], [j]] / one[[0], [jd]]
         ratio_two = two[[0], [j]] / two[[0], [jd]]
         assert ratio_two > ratio_one
+
+
+# letters with case and Unicode lowercasing, digits, underscores (which split
+# tokens), punctuation and whitespace
+_TEXT_CHARS = list("abAB\u00c9\u00e9\u00df\u03a3\u03c3\u03c2\u0130\uff21"
+                   "09\u0663\u65e5_ .,!-\t\n\u2028")
+
+
+class TestCountTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(st.sampled_from(_TEXT_CHARS) | st.characters(), max_size=30),
+                    max_size=12))
+    def test_equals_a_counter_of_the_tokens(self, texts):
+        rows = [Counter(tokenize(t)) for t in texts]
+        terms = sorted(set().union(*rows))
+        dense = np.array([[row[t] for t in terms] for row in rows],
+                         dtype=np.int64).reshape(len(texts), len(terms))
+        tc = featurize.count_terms(texts)
+        assert tc.terms == terms
+        c = tc.counts
+        assert c.shape == dense.shape
+        assert np.array_equal(c.toarray(), dense)
+        assert (c.data.dtype, c.indices.dtype, c.indptr.dtype) == (np.int32,) * 3
+        # canonical: no stored zeros, columns strictly ascending within each row
+        assert (c.data > 0).all() and c.nnz == np.count_nonzero(dense)
+        for a, b in zip(c.indptr[:-1], c.indptr[1:]):
+            assert (np.diff(c.indices[a:b]) > 0).all()
+
+    def test_peak_memory_stays_near_its_result(self):
+        """1000 documents of 300 words from 2000 terms: at most 1.6x the returned arrays."""
+        rng = np.random.default_rng(5)
+        terms = np.array([f"w{i}" for i in range(2000)])
+        texts = [" ".join(row) for row in terms[rng.integers(2000, size=(1000, 300))]]
+        tracemalloc.start()
+        try:
+            c = featurize.count_terms(texts).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * (c.data.nbytes + c.indices.nbytes + c.indptr.nbytes)
 
 
 class TestFitRows:

@@ -1,5 +1,7 @@
 import json
 import os
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -267,6 +269,38 @@ class TestRun:
                       test_doc_path=str(tmp_path / "docs.tsv"),
                       test_gold_path=str(tmp_path / "gold.tsv"), **fast), ds=ds)
         assert len(calls) == 2  # one per repeat
+
+    @pytest.mark.parametrize("dev_scores, chosen", [([0.2, 0.7, 0.5, 0.7, 0.1], 1),
+                                                    ([0.3, 0.3, 0.3], 0), (None, 2)])
+    def test_writes_the_first_best_dev_repeat_and_holds_no_other(self, tmp_path, monkeypatch,
+                                                                 dev_scores, chosen):
+        ds, _ = generate(SynthConfig(n_samples=60, seed=21, coverage_target=0.8))
+
+        class Result:  # a repeat's result, whose model "predicts" the repeat's index
+            def __init__(self, r):
+                self.repeat, self.final_labels = r, "labels"
+                self.final_model = types.SimpleNamespace(predict=lambda texts: r)
+
+        held, still_held, written = weakref.WeakSet(), [], []
+
+        def fake_repeat(ds_, cfg, seed, train_final):
+            still_held.append(len(held))  # earlier repeats alive as this one starts
+            res = Result(len(still_held) - 1)
+            held.add(res)
+            return res
+        monkeypatch.setattr(harness, "_execute_repeat", fake_repeat)
+        monkeypatch.setattr(harness, "_load_split", lambda *a: (["x"], np.array([0])))
+        monkeypatch.setattr(harness, "evaluate",
+                            lambda pred, gold, metric: 0.5 if pred == "labels"
+                            else dev_scores[pred])
+        monkeypatch.setattr(harness, "_write_artifacts",
+                            lambda run_dir, cfg, ds_, result, *a: written.append(result.repeat))
+        dev = {} if dev_scores is None else {"dev_doc_path": "d", "dev_gold_path": "g"}
+        repeats = 3 if dev_scores is None else len(dev_scores)
+        run(RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"), **dev,
+                      **self._fast(repeats=repeats)), ds=ds)
+        assert written == [chosen]
+        assert max(still_held) <= 1  # at most the chosen one
 
     def _flaky_repeats(self, monkeypatch, exc):
         """Make the first repeat raise ``exc``; later repeats run for real."""
@@ -617,6 +651,46 @@ class TestCli:
         assert cfg.max_features is None and cfg.gold_path is None
         with pytest.raises(ValueError, match="--lr.*'fast'"):
             cli._build_run_config({"lr": "fast"}, "ulf")
+
+    @pytest.mark.parametrize("verb, method", [
+        ("ulf", "wscl"), ("wscw", "ulf"), ("wscl", "baseline_majority"), ("baseline", "ulf"),
+        ("stats", "wscw"),
+    ])
+    def test_method_that_disagrees_with_the_verb_rejected(self, monkeypatch, verb, method):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=f"--method {method!r} disagrees with the {verb} verb"):
+            cli.main([verb, "--method", method])
+
+    @pytest.mark.parametrize("verb, method", [("ulf", "ulf"), ("wscl", "wscl"),
+                                              ("baseline", "baseline_majority")])
+    def test_config_method_that_names_the_verb_accepted(self, tmp_path, monkeypatch, capsys,
+                                                        verb, method):
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg.method)
+            return MetricsReport(metric=cfg.metric, values=[0.5], mean=0.5, sem=0.0,
+                                 wall_clock_sec=0.0)
+        monkeypatch.setattr(cli, "run", fake_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"method={method}\nk=3\n")
+        assert cli.main([verb, "--config", str(cfg)]) == 0
+        assert seen == [method]
+        assert json.loads(capsys.readouterr().out)["method"] == method
+
+    @pytest.mark.parametrize("argv, key, owner", [
+        (["ulf", "--budget", "3"], "budget", "grid"),
+        (["stats", "--budget", "none"], "budget", "grid"),
+        (["synth", "--budget", "1"], "budget", "grid"),
+        (["grid", "--stats_repeats", "2", "--p", "0.1,0.5"], "stats_repeats", "stats"),
+        (["baseline", "--stats_repeats", "2"], "stats_repeats", "stats"),
+    ])
+    def test_option_of_another_verb_rejected(self, monkeypatch, argv, key, owner):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "grid_search", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError,
+                           match=f"--{key} is a {owner} option; the {argv[0]} verb does not"):
+            cli.main(argv)
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):

@@ -194,7 +194,7 @@ class TestRunUlf:
                         stall_patience=3, seed=8,
                         clf=ClassifierConfig(learning_rate=1e-1, seed=8))
         res = run_ulf(ds, cfg, train_final=False)
-        assert res.label_change_fractions[-1] == 0.0
+        assert res.diagnostics[-1]["label_change_fraction"] == 0.0
         assert np.abs(res.refined_t - ds.t).max() <= 0.15
 
     def test_deterministic(self):
