@@ -21,10 +21,10 @@ stats = dataset_stats(ds, repeats=5, seed=0)
 print(f"samples:          {ds.n_samples}")
 print(f"labeling funcs:   {ds.n_lfs}")
 print(f"classes:          {ds.num_classes}")
-print(f"coverage:         {stats.coverage:.3f}  (fraction matched by >= 1 LF)")
-print(f"avg LF hits:      {stats.avg_lf_hits:.2f} per sample")
-mean, std = stats.majority_accuracy
-print(f"majority vote:    {mean:.3f} +/- {std:.3f} accuracy vs gold")
+print(f"coverage:         {stats['coverage']:.3f}  (fraction matched by >= 1 LF)")
+print(f"avg LF hits:      {stats['avg_lf_hits']:.2f} per sample")
+print(f"majority vote:    {stats['majority_accuracy_mean']:.3f} "
+      f"+/- {stats['majority_accuracy_std']:.3f} accuracy vs gold")
 
 # The majority vote assigns each sample the class with the largest summed
 # LF vote; ties and uncovered samples are resolved from a seeded stream,
@@ -32,4 +32,4 @@ print(f"majority vote:    {mean:.3f} +/- {std:.3f} accuracy vs gold")
 labels = majority_vote(ds, ds.t, seed=0)
 per_class = np.bincount(labels.labels, minlength=ds.num_classes)
 print(f"label balance:    {per_class.tolist()}")
-print(f"unmatched:        {int(labels.was_unmatched.sum())} samples got a random class")
+print(f"unmatched:        {int((~ds.matched_mask).sum())} samples got a random class")

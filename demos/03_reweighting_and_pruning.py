@@ -28,7 +28,7 @@ from wsdenoise import (
 ds, _ = generate(SynthConfig(n_samples=800, seed=1, lf_precision=1.0,
                              coverage_target=0.95))
 flipped, flip_mask = inject_label_noise(ds.gold, 0.15, ds.num_classes, seed=1)
-noisy = LabelVector(flipped, ~ds.matched_mask)
+noisy = LabelVector(flipped)
 print(f"injected flips: {int(flip_mask.sum())} of {ds.n_samples} labels")
 
 clf = ClassifierConfig(learning_rate=1e-1, seed=1)

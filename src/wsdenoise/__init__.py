@@ -15,7 +15,6 @@ methods are provided:
 from wsdenoise.corpus import (
     WeakDataset,
     LabelVector,
-    DatasetStats,
     load_dataset,
     save_dataset,
     majority_vote,

@@ -15,8 +15,8 @@ import os
 import sys
 from typing import get_args, get_type_hints
 
-from wsdenoise.corpus import load_dataset, save_dataset
-from wsdenoise.harness import RunConfig, grid_search, run, stats_report
+from wsdenoise.corpus import _read_lines, dataset_stats, load_dataset, save_dataset
+from wsdenoise.harness import RunConfig, grid_search, run
 from wsdenoise.synth import SynthConfig, generate
 
 VERBS = ("stats", "baseline", "ulf", "wscw", "wscl", "grid", "synth")
@@ -25,16 +25,16 @@ GRIDABLE = {"p", "lr", "k", "iters", "lambda_rate", "epochs", "epsilon",
 
 
 def parse_config_file(path: str) -> dict:
+    """Flat ``key=value`` lines and ``#`` comments, split into lines as the TSV inputs are."""
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f.read().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path} line {lineno}: expected 'key=value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path} line {lineno}: expected 'key=value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
         repeats = _coerce("stats_repeats", values.pop("stats_repeats", "5"), _VERB_TYPES)
         cfg = _build_run_config(values, method)
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
-        print(json.dumps(stats_report(ds, repeats=repeats, seed=cfg.seed),
+        print(json.dumps(dataset_stats(ds, repeats=repeats, seed=cfg.seed),
                          indent=1, sort_keys=True))
         return 0
 

@@ -12,7 +12,9 @@ generator):
 
 External string sample ids are re-indexed to dense integers 0..N-1
 preserving file order; the mapping is kept on the dataset and emitted
-alongside run outputs.
+alongside run outputs.  ``_read_lines`` reads these files and the CLI's
+``--config`` files alike.  Which samples no LF matched is kept once, as
+``WeakDataset.matched_mask``; ``dataset_stats`` returns the ``stats`` report.
 """
 
 from __future__ import annotations
@@ -95,17 +97,12 @@ class WeakDataset:
 
 @dataclass
 class LabelVector:
-    """Weak labels plus a mask marking samples with an empty signature."""
+    """Weak labels, one class index per sample."""
 
     labels: np.ndarray
-    was_unmatched: np.ndarray
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.was_unmatched):
-            raise ValueError("labels and mask length mismatch")
 
     def copy(self) -> "LabelVector":
-        return LabelVector(self.labels.copy(), self.was_unmatched.copy())
+        return LabelVector(self.labels.copy())
 
 
 def as_labels(labels) -> np.ndarray:
@@ -121,13 +118,6 @@ def as_labels(labels) -> np.ndarray:
     return a.astype(np.int64)
 
 
-@dataclass
-class DatasetStats:
-    coverage: float
-    avg_lf_hits: float
-    majority_accuracy: tuple[float, float] | None = None  # (mean, std) over seeds
-
-
 def _tie_rng(seed: int, sample_id: int) -> np.random.Generator:
     # counter-based stream keyed by (seed, sample id): evaluation order cannot
     # change results
@@ -138,8 +128,8 @@ def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVect
     """Assign each sample the argmax class of ``row_i(Z) @ t_matrix``.
 
     Ties among maximal classes are broken uniformly at random from a stream
-    keyed by (seed, sample id); samples with an empty signature get a
-    uniformly random class and are flagged in ``was_unmatched``.
+    keyed by (seed, sample id); samples with an empty signature (off
+    ``ds.matched_mask``) tie across all classes and get a uniformly random one.
     """
     t = np.asarray(t_matrix, dtype=float)
     if t.shape != (ds.n_lfs, ds.num_classes):
@@ -157,25 +147,24 @@ def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVect
         tied = np.flatnonzero(is_max[i])
         labels[i] = tied[_tie_rng(seed, int(i)).integers(len(tied))]
 
-    return LabelVector(labels, ~ds.matched_mask)
+    return LabelVector(labels)
 
 
-def dataset_stats(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> DatasetStats:
-    """Coverage, mean LF hits, and (with gold) majority-vote accuracy over seeds."""
+def dataset_stats(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> dict:
+    """The ``stats`` verb's report: sizes, coverage, mean LF hits and, with gold,
+    ``majority_accuracy_mean`` and ``_std`` of the vote over ``repeats`` seeds."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    hits = ds.lf_hits
-    coverage = float((hits > 0).mean()) if ds.n_samples else 0.0
-    avg_hits = float(hits.mean()) if ds.n_samples else 0.0
-    acc = None
+    hits, n = ds.lf_hits, ds.n_samples
+    out = {"n_samples": n, "n_lfs": ds.n_lfs, "num_classes": ds.num_classes,
+           "coverage": float((hits > 0).mean()) if n else 0.0,
+           "avg_lf_hits": float(hits.mean()) if n else 0.0}
     if ds.gold is not None:
-        vals = []
-        for r in range(repeats):
-            lv = majority_vote(ds, ds.t, derive_seed(seed, r))
-            vals.append(float((lv.labels == ds.gold).mean()))
-        std = float(np.std(vals, ddof=1)) if repeats > 1 else 0.0
-        acc = (float(np.mean(vals)), std)
-    return DatasetStats(coverage, avg_hits, acc)
+        vals = [float((majority_vote(ds, ds.t, derive_seed(seed, r)).labels == ds.gold).mean())
+                for r in range(repeats)]
+        out["majority_accuracy_mean"] = float(np.mean(vals))
+        out["majority_accuracy_std"] = float(np.std(vals, ddof=1)) if repeats > 1 else 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

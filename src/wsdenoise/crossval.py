@@ -47,11 +47,7 @@ _GROUP_NNZ = 1 << 20
 
 @dataclass
 class FoldPlan:
-    strategy: str
-    k: int
     folds: list          # [(train_indices, test_indices)] as sorted int arrays
-    lambda_rate: float
-    seed: int
     lf_folds: list | None = None    # by_lf only: held-out LF indices per fold
     sig_folds: list | None = None   # by_signature only: held-out signatures per fold
 
@@ -104,7 +100,7 @@ def _hold_out(ds: WeakDataset, strategy: str, units, what: str, k: int,
                 rng = np.random.default_rng([seed, 2, f])
                 tr = np.sort(np.concatenate([tr, rng.choice(avail, size=n_admit, replace=False)]))
         folds.append((tr, np.sort(np.concatenate([te, extra]))))
-    return FoldPlan(strategy, k, folds, lambda_rate, seed), groups
+    return FoldPlan(folds), groups
 
 
 def plan_random(ds: WeakDataset, k: int, lambda_rate: float = 0.0, seed: int = 0) -> FoldPlan:

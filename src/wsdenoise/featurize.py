@@ -96,7 +96,13 @@ def count_terms(texts: list[str]) -> TermCounts:
     counts = sp.csr_array((np.ones(ids.size, dtype=np.int32), ids, indptr),
                           shape=(len(texts), len(terms)))
     counts.sum_duplicates()
-    return TermCounts(terms, counts)
+    # the sum can leave views of the token-length buffers: drop them, shrink the buffers to nnz
+    nnz, shape = counts.nnz, counts.shape
+    data, indices = (a if a.base is None else a.base for a in (counts.data, counts.indices))
+    del counts, ids
+    data.resize(nnz)
+    indices.resize(nnz)
+    return TermCounts(terms, sp.csr_array((data, indices, indptr), shape=shape, copy=False))
 
 
 def _vocabulary(df: np.ndarray, num_docs: int, terms: list[str],

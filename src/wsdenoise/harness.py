@@ -30,7 +30,6 @@ import numpy as np
 from wsdenoise.corpus import (
     WeakDataset,
     as_labels,
-    dataset_stats,
     load_dataset,
     majority_vote,
     read_documents,
@@ -441,17 +440,3 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
                            + "; ".join(f"point {r['grid_index']}: {r['error']}" for r in results))
     return best_cfg, results
 
-
-def stats_report(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> dict:
-    s = dataset_stats(ds, repeats=repeats, seed=seed)
-    out = {
-        "n_samples": ds.n_samples,
-        "n_lfs": ds.n_lfs,
-        "num_classes": ds.num_classes,
-        "coverage": s.coverage,
-        "avg_lf_hits": s.avg_lf_hits,
-    }
-    if s.majority_accuracy is not None:
-        out["majority_accuracy_mean"] = s.majority_accuracy[0]
-        out["majority_accuracy_std"] = s.majority_accuracy[1]
-    return out

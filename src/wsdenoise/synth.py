@@ -111,7 +111,7 @@ def generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
         num_classes=k,
         gold=gold.astype(np.int64),
     )
-    return ds, LabelVector(gold.astype(np.int64), ~ds.matched_mask)
+    return ds, LabelVector(gold.astype(np.int64))
 
 
 def inject_label_noise(labels: np.ndarray, rate: float, num_classes: int,

@@ -42,6 +42,8 @@ class WsclConfig:
     def __post_init__(self):
         if self.strategy not in ("by_lf", "by_signature"):
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
+        if self.lambda_rate < 0:
+            raise ValueError("lambda_rate must be nonnegative")
 
 
 def class_confident_joint(noisy, conf: np.ndarray, num_classes: int) -> np.ndarray:

@@ -306,7 +306,7 @@ class TestFoldErrorOrder:
         for n in train_sizes:
             tr = np.sort(rng.choice(400, n, replace=False))
             folds.append((tr, np.setdiff1d(np.arange(400), tr)))
-        plan = FoldPlan("random", len(folds), folds, 0.0, 7)
+        plan = FoldPlan(folds)
         with pytest.raises(RuntimeError) as info:
             estimate_oos(ds, noisy_labels(ds, 41), plan, FeaturizeConfig(min_df=3),
                          TestFoldErrorOrder.CFG)

@@ -146,6 +146,13 @@ class TestCountTerms:
             tracemalloc.stop()
         assert peak < 1.6 * (c.data.nbytes + c.indices.nbytes + c.indptr.nbytes)
 
+    @pytest.mark.parametrize("texts", [["b a b c", "z y"], ["a a a a", "b"], ["x"], []])
+    def test_arrays_hold_exactly_their_counts(self, texts):
+        # no buffer behind data or indices is longer than the nnz counts it holds
+        c = featurize.count_terms(texts).counts
+        for a in (c.data, c.indices):
+            assert (a if a.base is None else a.base).size == c.nnz
+
 
 class TestFitRows:
     """``fit_rows`` cuts its rows in blocks that join to ``_tfidf`` of the whole row set."""

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from wsdenoise import cli, harness, pipeline, ulf, wscl, wscw
-from wsdenoise.corpus import save_dataset
+from wsdenoise.corpus import dataset_stats, save_dataset
 from wsdenoise.harness import (
     MetricsReport,
     RunConfig,
     evaluate,
     grid_search,
     run,
-    stats_report,
 )
 from wsdenoise.synth import SynthConfig, generate
 
@@ -114,6 +113,7 @@ class TestRunConfig:
         ("wscl", "strategy", "rndm", "strategy"),
         ("ulf", "p", 2.0, "p must"),
         ("wscw", "epsilon", 0.0, "epsilon"),
+        ("wscl", "lambda_rate", -2.0, "lambda_rate"),
         ("baseline_majority", "lr", 0.0, "learning_rate"),
     ])
     def test_rejects_bad_method_value(self, method, key, value, match):
@@ -449,7 +449,7 @@ class TestGridSearch:
 class TestStatsReport:
     def test_fields(self):
         ds, _ = generate(SynthConfig(n_samples=200, seed=40, coverage_target=0.85))
-        out = stats_report(ds, repeats=3, seed=0)
+        out = dataset_stats(ds, repeats=3, seed=0)
         assert out["n_samples"] == 200 and out["n_lfs"] == 10
         assert abs(out["coverage"] - ds.matched_mask.mean()) < 1e-12
         assert "majority_accuracy_mean" in out
@@ -505,6 +505,19 @@ class TestCli:
         assert cli.main(["ulf", "--config", str(cfg), "--iters=1", "--k", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "ulf"
+
+    def test_config_file_skips_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffseed=5\nk=3\n", encoding="utf-8")
+        assert cli.parse_config_file(str(cfg)) == {"seed": "5", "k": "3"}
+
+    def test_config_value_may_hold_a_line_separator(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nout_dir=runs/a\u2028b\n", encoding="utf-8")
+        assert cli.parse_config_file(str(cfg)) == {"seed": "5", "out_dir": "runs/a\u2028b"}
+        cfg.write_text("seed=5\nout_dir=runs/a\u2028b\nno equals sign\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3: expected 'key=value'"):
+            cli.parse_config_file(str(cfg))
 
     def test_grid_verb(self, tmp_path, capsys):
         data = self._synth(tmp_path)

@@ -135,19 +135,19 @@ class TestRefineT:
 class TestRelabelUnmatched:
     def test_adopts_confident_label(self):
         conf = confident_labels(np.array([[0.9, 0.1]]), np.array([0.8, 0.5]))
-        cur = LabelVector(np.array([1]), np.array([True]))
+        cur = LabelVector(np.array([1]))
         out = relabel_unmatched(conf, np.array([True]), cur)
         assert out.labels[0] == 0
 
     def test_keeps_prior_label_when_unconfident(self):
         conf = confident_labels(np.array([[0.5, 0.5]]), np.array([0.8, 0.6]))
-        cur = LabelVector(np.array([1]), np.array([True]))
+        cur = LabelVector(np.array([1]))
         out = relabel_unmatched(conf, np.array([True]), cur)
         assert out.labels[0] == 1
 
     def test_matched_samples_untouched(self):
         conf = confident_labels(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
-        cur = LabelVector(np.array([1, 0]), np.array([False, True]))
+        cur = LabelVector(np.array([1, 0]))
         out = relabel_unmatched(conf, np.array([False, True]), cur)
         assert out.labels[0] == 1 and out.labels[1] == 1
 

@@ -205,7 +205,7 @@ class TestRunWscl:
 
         cfg = WsclConfig(k=4, seed=12)
         res = run_wscl(ds, cfg, fold_predict=oracle_labels, train_final=False,
-                       noisy=LabelVector(flipped, ~ds.matched_mask))
+                       noisy=LabelVector(flipped))
         pruned = ~res.keep_mask
         assert pruned.any()
         precision = flip_mask[pruned].mean()
@@ -232,3 +232,7 @@ class TestRunWscl:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             WsclConfig(strategy="random")
+
+    def test_negative_lambda_rate_rejected(self):
+        with pytest.raises(ValueError, match="lambda_rate must be nonnegative"):
+            WsclConfig(lambda_rate=-1)

@@ -59,7 +59,7 @@ class TestRunWscw:
 
         cfg = WscwConfig(k=4, partitions=2, seed=4)
         weights, _ = run_wscw(ds, cfg, fold_predict=oracle_labels, train_final=False,
-                              noisy=LabelVector(flipped, ~ds.matched_mask))
+                              noisy=LabelVector(flipped))
         flagged = weights.flags > 0
         matched = ds.matched_mask
         precision = flip_mask[flagged & matched].mean()

@@ -9,7 +9,9 @@
 # ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), wscw, wscl by
 # signature and by LF, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a wscl
 # grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
-# recorded fold failure is compared too.  It then compares the two directories
+# recorded fold failure is compared too.  The `stats` verb's output is written
+# into the directory twice, with gold and `--stats_repeats 3` and without gold,
+# so its report is compared too.  It then compares the two directories
 # with `diff -r`, ignoring timing.json, the one file that holds wall-clock times.  Exit status: 0 when they are identical,
 # 1 on any difference (the directories are kept for inspection), 2 on bad use.
 set -euo pipefail
@@ -26,15 +28,19 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     local src=$1/src out=$2
     mkdir -p "$out"
     cd "$out"  # relative paths, so the reports of both checkouts name the same files
-    wsd() { PYTHONPATH="$src" python3 -m wsdenoise.cli "$@" > /dev/null; }
+    cli() { PYTHONPATH="$src" python3 -m wsdenoise.cli "$@"; }
+    wsd() { cli "$@" > /dev/null; }
     wsd synth --n_samples 600 --seed 11 --out_dir data
     wsd synth --n_samples 200 --seed 12 --out_dir dev
     wsd synth --n_samples 200 --seed 13 --out_dir test
-    local io=(--doc_path data/docs.tsv --z_path data/z.tsv --t_path data/t.tsv
-              --gold_path data/gold.tsv
+    local train=(--doc_path data/docs.tsv --z_path data/z.tsv --t_path data/t.tsv)
+    local io=("${train[@]}" --gold_path data/gold.tsv
               --dev_doc_path dev/docs.tsv --dev_gold_path dev/gold.tsv
               --test_doc_path test/docs.tsv --test_gold_path test/gold.tsv
               --repeats 2 --dump_folds true)
+    mkdir -p stats
+    cli stats "${train[@]}" --gold_path data/gold.tsv --stats_repeats 3 > stats/with_gold.json
+    cli stats "${train[@]}" > stats/without_gold.json
     wsd baseline "${io[@]}" --out_dir runs/baseline
     wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
