@@ -50,6 +50,6 @@ from wsdenoise.wscl import (
     run_wscl,
 )
 from wsdenoise.synth import SynthConfig, generate, inject_label_noise
-from wsdenoise.harness import RunConfig, MetricsReport, evaluate, run, grid_search
+from wsdenoise.harness import RunConfig, evaluate, run, grid_search
 
 __version__ = "0.1.0"

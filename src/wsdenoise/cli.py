@@ -194,13 +194,10 @@ def main(argv=None) -> int:
         return 0
 
     cfg = _build_run_config(values, method)
-    report = run(cfg)
-    print(json.dumps({
-        "method": cfg.method, "metric": report.metric,
-        "mean": report.mean, "sem": report.sem,
-        "dev_mean": report.dev_mean, "out_dir": cfg.out_dir,
-        "partial": report.partial,
-    }, indent=1, sort_keys=True))
+    metrics = run(cfg)
+    summary = {key: metrics[key] for key in ("method", "metric", "mean", "sem", "dev_mean",
+                                             "partial")}
+    print(json.dumps({**summary, "out_dir": cfg.out_dir}, indent=1, sort_keys=True))
     return 0
 
 

@@ -13,7 +13,8 @@ generator):
 External string sample ids are re-indexed to dense integers 0..N-1
 preserving file order; the mapping is kept on the dataset and emitted
 alongside run outputs.  ``_read_lines`` reads these files and the CLI's
-``--config`` files alike.  Which samples no LF matched is kept once, as
+``--config`` files alike; ``_write_lines`` beside it writes them and a run
+directory's line files.  Which samples no LF matched is kept once, as
 ``WeakDataset.matched_mask``; ``dataset_stats`` returns the ``stats`` report.
 """
 
@@ -177,6 +178,13 @@ def _read_lines(path):
     return text.split("\n") if text else []  # not splitlines(), which also splits at \x85, ...
 
 
+def _write_lines(path, lines) -> None:
+    """Write each of ``lines`` followed by ``\\n``, in UTF-8: what ``_read_lines`` reads back."""
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(f"{line}\n")
+
+
 def read_documents(doc_path):
     """Read ``id<TAB>text`` lines; returns ``(ids, texts, {id: dense index})``."""
     ids, texts = [], []
@@ -316,20 +324,12 @@ def save_dataset(ds: WeakDataset, doc_path, z_path, t_path, gold_path=None) -> N
                              "or start with a byte-order mark")
         if "\n" in text or "\r" in text:
             raise ValueError(f"sample id {sid!r}: its text holds a line break")
-    with open(doc_path, "w", encoding="utf-8") as f:
-        for sid, text in zip(ds.ids, ds.texts):
-            f.write(f"{sid}\t{text}\n")
+    _write_lines(doc_path, (f"{sid}\t{text}" for sid, text in zip(ds.ids, ds.texts)))
     coo = ds.z.tocoo()
     cells = sorted(zip(coo.coords[0].tolist(), coo.coords[1].tolist()))
-    with open(z_path, "w", encoding="utf-8") as f:
-        f.write(f"{ds.n_samples} {ds.n_lfs}\n")
-        for i, j in cells:
-            f.write(f"{ds.ids[i]}\t{j}\n")
-    with open(t_path, "w", encoding="utf-8") as f:
-        f.write(f"{ds.n_lfs} {ds.num_classes}\n")
-        for l in range(ds.n_lfs):
-            f.write(f"{l}\t{int(np.argmax(ds.t[l]))}\n")
+    _write_lines(z_path, [f"{ds.n_samples} {ds.n_lfs}",
+                          *(f"{ds.ids[i]}\t{j}" for i, j in cells)])
+    _write_lines(t_path, [f"{ds.n_lfs} {ds.num_classes}",
+                          *(f"{l}\t{int(np.argmax(ds.t[l]))}" for l in range(ds.n_lfs))])
     if gold_path is not None and ds.gold is not None:
-        with open(gold_path, "w", encoding="utf-8") as f:
-            for sid, cls in zip(ds.ids, ds.gold):
-                f.write(f"{sid}\t{int(cls)}\n")
+        _write_lines(gold_path, (f"{sid}\t{int(cls)}" for sid, cls in zip(ds.ids, ds.gold)))

@@ -46,7 +46,11 @@ def tokenize(text: str) -> list[str]:
 @dataclass
 class FeaturizeConfig:
     min_df: int = 1
-    max_features: int | None = None
+    max_features: int | None = None  # None keeps every term
+
+    def __post_init__(self):
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1 or None")
 
 
 @dataclass(frozen=True)

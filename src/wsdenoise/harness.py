@@ -2,11 +2,11 @@
 
 A run executes one method (majority baseline, mapping refinement, sample
 downweighting, or confident-joint pruning) ``repeats`` times with seeds
-derived from the master seed, writes a structured report plus per-method
-diagnostics into the run directory, and evaluates either the final
-classifier on a held-out test split or the corrected labels against training
-gold.  The development split, when present, is used only for model selection
-and grid search, never inside denoising.
+derived from the master seed, evaluates either the final classifier on a
+held-out test split or the corrected labels against training gold, writes
+the ``metrics.json`` record plus per-method diagnostics into the run
+directory, and returns that record.  The development split, when present,
+is used only for model selection and grid search, never inside denoising.
 
 Everything written to ``metrics.json`` and the label outputs is
 deterministic under a fixed config and seed; wall-clock timing goes to a
@@ -23,12 +23,13 @@ import os
 import re
 import shutil
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from wsdenoise.corpus import (
     WeakDataset,
+    _write_lines,
     as_labels,
     load_dataset,
     majority_vote,
@@ -101,6 +102,9 @@ class RunConfig:
             raise ValueError(f"strategy must be one of {sorted(STRATEGY_ALIASES)}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        for s in ("dev", "test"):
+            if bool(getattr(self, f"{s}_doc_path")) != bool(getattr(self, f"{s}_gold_path")):
+                raise ValueError(f"a {s} split needs both {s}_doc_path and {s}_gold_path")
         self.method_config(self.seed)
 
     def method_config(self, seed: int) -> UlfConfig | WsclConfig | WscwConfig | None:
@@ -129,19 +133,6 @@ class RunConfig:
 
     def featurize_config(self) -> FeaturizeConfig:
         return FeaturizeConfig(min_df=self.min_df, max_features=self.max_features)
-
-
-@dataclass
-class MetricsReport:
-    metric: str
-    values: list                 # per successful repeat
-    mean: float
-    sem: float                   # sample std / sqrt(repeats)
-    wall_clock_sec: float
-    dev_values: list | None = None
-    dev_mean: float | None = None
-    failures: list = field(default_factory=list)
-    partial: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +213,17 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
 # artifacts
 
 
-def _write_fold_audit(path, plan, probs) -> None:
+def _fold_audit_lines(plan, probs):
     """Fold assignment and probability dump, one sample per line."""
     fold_of_test = {}
     for fi, (_, te) in enumerate(plan.folds):
         for i in te:
             fold_of_test.setdefault(int(i), []).append(fi)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# sample\ttest_folds\tprediction_count\tprobs\n")
-        for i in range(probs.probs.shape[0]):
-            folds = ",".join(str(v) for v in fold_of_test.get(i, []))
-            row = "\t".join(repr(float(v)) for v in probs.probs[i])
-            f.write(f"{i}\t{folds}\t{int(probs.prediction_count[i])}\t{row}\n")
+    yield "# sample\ttest_folds\tprediction_count\tprobs"
+    for i in range(probs.probs.shape[0]):
+        folds = ",".join(str(v) for v in fold_of_test.get(i, []))
+        row = "\t".join(repr(float(v)) for v in probs.probs[i])
+        yield f"{i}\t{folds}\t{int(probs.prediction_count[i])}\t{row}"
 
 
 def _clear_artifacts(run_dir) -> None:
@@ -255,22 +245,18 @@ def _clear_grid(grid_dir) -> None:
 
 
 def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, result: DenoiseResult,
-                     report: MetricsReport, seeds: list) -> None:
+                     metrics: dict, wall_clock_sec: float) -> None:
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as f:
-        for fld in fields(RunConfig):
-            f.write(f"{fld.name}={getattr(cfg, fld.name)}\n")
-        f.write(f"derived_seeds={','.join(str(s) for s in seeds)}\n")
-    with open(os.path.join(run_dir, "id_mapping.tsv"), "w", encoding="utf-8") as f:
-        for dense, sid in enumerate(ds.ids):
-            f.write(f"{sid}\t{dense}\n")
-    with open(os.path.join(run_dir, "labels_corrected.tsv"), "w", encoding="utf-8") as f:
-        for sid, lab in zip(ds.ids, result.final_labels.labels):
-            f.write(f"{sid}\t{int(lab)}\n")
-    with open(os.path.join(run_dir, "t_refined.tsv"), "w", encoding="utf-8") as f:
-        for l, row in enumerate(result.refined_t):
-            vals = "\t".join(repr(float(v)) for v in row)
-            f.write(f"{l}\t{vals}\n")
+    _write_lines(os.path.join(run_dir, "config.txt"),
+                 [*(f"{fld.name}={getattr(cfg, fld.name)}" for fld in fields(RunConfig)),
+                  f"derived_seeds={','.join(str(s) for s in metrics['seeds'])}"])
+    _write_lines(os.path.join(run_dir, "id_mapping.tsv"),
+                 (f"{sid}\t{dense}" for dense, sid in enumerate(ds.ids)))
+    _write_lines(os.path.join(run_dir, "labels_corrected.tsv"),
+                 (f"{sid}\t{int(lab)}" for sid, lab in zip(ds.ids, result.final_labels.labels)))
+    _write_lines(os.path.join(run_dir, "t_refined.tsv"),
+                 (f"{l}\t" + "\t".join(repr(float(v)) for v in row)
+                  for l, row in enumerate(result.refined_t)))
 
     if result.diagnostics:
         diag_dir = os.path.join(run_dir, "diagnostics")
@@ -284,55 +270,42 @@ def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, result: DenoiseRe
             json.dump(result.prune_report, f, indent=1)
     if result.sample_weights is not None:
         w = result.sample_weights
-        with open(os.path.join(run_dir, "weights.tsv"), "w", encoding="utf-8") as f:
-            for sid, wv, fl in zip(ds.ids, w.w, w.flags):
-                f.write(f"{sid}\t{repr(float(wv))}\t{int(fl)}\n")
+        _write_lines(os.path.join(run_dir, "weights.tsv"),
+                     (f"{sid}\t{repr(float(wv))}\t{int(fl)}"
+                      for sid, wv, fl in zip(ds.ids, w.w, w.flags)))
     if cfg.dump_folds and result.last_plan is not None:
-        _write_fold_audit(os.path.join(run_dir, "fold_audit.tsv"),
-                          result.last_plan, result.last_probs)
+        _write_lines(os.path.join(run_dir, "fold_audit.tsv"),
+                     _fold_audit_lines(result.last_plan, result.last_probs))
 
-    payload = {
-        "method": cfg.method,
-        "strategy": cfg.strategy,
-        "metric": report.metric,
-        "values": report.values,
-        "mean": report.mean,
-        "sem": report.sem,
-        "dev_values": report.dev_values,
-        "dev_mean": report.dev_mean,
-        "repeats": cfg.repeats,
-        "seeds": seeds,
-        "failures": report.failures,
-        "partial": report.partial,
-    }
     with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump(metrics, f, indent=1, sort_keys=True)
     with open(os.path.join(run_dir, "timing.json"), "w", encoding="utf-8") as f:
-        json.dump({"wall_clock_sec": report.wall_clock_sec}, f)
+        json.dump({"wall_clock_sec": wall_clock_sec}, f)
 
 
 # ---------------------------------------------------------------------------
 # run and grid search
 
 
-def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
-    """Execute the configured method ``repeats`` times and write the report.
+def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
+    """Execute the configured method ``repeats`` times; return the ``metrics.json`` record.
 
-    Evaluation source, in order of preference: final-classifier predictions
-    on the test split; otherwise corrected labels against training gold.
-    The final classifier is trained only when a dev or test split needs its
-    predictions.  When a dev split is provided, the first repeat with the best
-    dev score supplies the written artifacts; otherwise the last repeat does.
-    A repeat that raises is recorded in ``failures`` with its exception type
-    and skipped; the run raises only when every repeat fails.
+    The wall-clock time goes to ``timing.json`` only.  Evaluation source, in
+    order of preference: final-classifier predictions on the test split;
+    otherwise corrected labels against training gold.  The final classifier
+    is trained only when a dev or test split needs its predictions.  When a
+    dev split is provided, the first repeat with the best dev score supplies
+    the written artifacts; otherwise the last repeat does.  A repeat that
+    raises is recorded in ``failures`` with its exception type and skipped;
+    the run raises only when every repeat fails.
     """
     start = time.monotonic()
     if ds is None:
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
     dev = test = None
-    if cfg.dev_doc_path and cfg.dev_gold_path:
+    if cfg.dev_doc_path:
         dev = _load_split(cfg.dev_doc_path, cfg.dev_gold_path, ds.num_classes)
-    if cfg.test_doc_path and cfg.test_gold_path:
+    if cfg.test_doc_path:
         test = _load_split(cfg.test_doc_path, cfg.test_gold_path, ds.num_classes)
     if test is None and ds.gold is None:
         raise ValueError("no evaluation target: provide a test split or training gold")
@@ -363,17 +336,14 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> MetricsReport:
 
     if not values:
         raise RuntimeError("all repeats failed: " + "; ".join(failures))
-    mean = float(np.mean(values))
     sem = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    report = MetricsReport(
-        metric=cfg.metric, values=[float(v) for v in values], mean=mean, sem=sem,
-        wall_clock_sec=time.monotonic() - start,
-        dev_values=[float(v) for v in dev_values] if dev is not None else None,
-        dev_mean=float(np.mean(dev_values)) if dev_values else None,
-        failures=failures, partial=bool(failures),
-    )
-    _write_artifacts(cfg.out_dir, cfg, ds, best[1], report, seeds)
-    return report
+    metrics = {"method": cfg.method, "strategy": cfg.strategy, "metric": cfg.metric,
+               "repeats": cfg.repeats, "seeds": seeds, "failures": failures,
+               "partial": bool(failures), "values": values, "mean": float(np.mean(values)),
+               "sem": sem, "dev_values": dev_values if dev is not None else None,
+               "dev_mean": float(np.mean(dev_values)) if dev_values else None}
+    _write_artifacts(cfg.out_dir, cfg, ds, best[1], metrics, time.monotonic() - start)
+    return metrics
 
 
 def grid_search(base: RunConfig, space: dict, budget: int | None = None,
@@ -398,7 +368,7 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     ``run``.  The memo holds about N x (K + 2) x 8 bytes per distinct stage
     and is dropped when the sweep ends.
     """
-    if not (base.dev_doc_path and base.dev_gold_path):
+    if not base.dev_doc_path:
         raise ValueError("grid search requires a dev split for selection")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be >= 1 or None, got {budget}")
@@ -421,15 +391,15 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     with evidence_memo():
         for idx, cfg in zip(indices, cfgs):
             try:
-                report = run(cfg, ds=ds)
+                metrics = run(cfg, ds=ds)
             except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops
                 results.append({"grid_index": idx, "params": points[idx],
                                 "error": f"{type(exc).__name__}: {exc}",
                                 "dev_mean": None, "test_mean": None})
                 continue
-            score = report.dev_mean
+            score = metrics["dev_mean"]
             results.append({"grid_index": idx, "params": points[idx],
-                            "dev_mean": score, "test_mean": report.mean})
+                            "dev_mean": score, "test_mean": metrics["mean"]})
             if score > best_score:
                 best_cfg, best_score, best_idx = cfg, score, idx
     os.makedirs(base.out_dir, exist_ok=True)

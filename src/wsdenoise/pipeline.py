@@ -62,7 +62,6 @@ class DenoiseResult:
 
     final_labels: LabelVector
     refined_t: np.ndarray
-    iterations_run: int = 1                  # ULF refinement passes
     final_model: TextModel | None = None
     diagnostics: list = field(default_factory=list)  # ULF, per iteration
     sample_weights: object = None            # wscw.SampleWeights
@@ -70,6 +69,11 @@ class DenoiseResult:
     prune_report: dict | None = None         # WSCL
     last_plan: FoldPlan | None = None
     last_probs: OOSProbs | None = None
+
+    @property
+    def iterations_run(self) -> int:
+        """ULF refinement passes, one ``diagnostics`` record each (0 for other methods)."""
+        return len(self.diagnostics)
 
 
 @contextlib.contextmanager

@@ -40,6 +40,8 @@ class UlfConfig:
     feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.lambda_rate < 0:
@@ -144,7 +146,6 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
     return DenoiseResult(
         final_labels=final,
         refined_t=t_hat,
-        iterations_run=it,
         final_model=model,
         diagnostics=diagnostics,
         last_plan=plan,  # the last iteration's

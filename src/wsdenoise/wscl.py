@@ -40,6 +40,8 @@ class WsclConfig:
     feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if self.strategy not in ("by_lf", "by_signature"):
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
         if self.lambda_rate < 0:

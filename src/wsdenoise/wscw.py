@@ -30,6 +30,8 @@ class WscwConfig:
     feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if not 0.0 < self.epsilon <= 1.0:

@@ -132,6 +132,17 @@ class TestLoadDataset:
             assert a.read_bytes() == b.read_bytes()
 
 
+    def test_save_writes_back_the_bytes_it_loaded(self, tmp_path):
+        files = {"docs.tsv": "a\théllo wörld\nß\tünïcode\n",
+                 "z.tsv": "2 3\na\t0\na\t2\nß\t1\n",
+                 "t.tsv": "3 2\n0\t0\n1\t1\n2\t0\n",
+                 "gold.tsv": "a\t0\nß\t1\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        out = [tmp_path / f"saved_{name}" for name in files]
+        save_dataset(load_dataset(*(tmp_path / name for name in files)), *out)
+        assert [p.read_bytes().decode("utf-8") for p in out] == list(files.values())
+
     # every character str.splitlines breaks at, apart from \n and \r
     @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                      "\u2028", "\u2029"])

@@ -28,6 +28,11 @@ class TestFitVocabulary:
         assert v1.index == v2.index
         np.testing.assert_array_equal(v1.df, v2.df)
 
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_max_features_below_one_rejected(self, max_features):
+        with pytest.raises(ValueError, match="max_features must be >= 1 or None"):
+            FeaturizeConfig(max_features=max_features)
+
     def test_empty_vocabulary_raises(self):
         with pytest.raises(ValueError, match="empty"):
             fit_vocabulary(["a", "b"], FeaturizeConfig(min_df=5))

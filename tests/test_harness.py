@@ -9,7 +9,6 @@ import pytest
 from wsdenoise import cli, harness, pipeline, ulf, wscl, wscw
 from wsdenoise.corpus import dataset_stats, save_dataset
 from wsdenoise.harness import (
-    MetricsReport,
     RunConfig,
     evaluate,
     grid_search,
@@ -115,10 +114,22 @@ class TestRunConfig:
         ("wscw", "epsilon", 0.0, "epsilon"),
         ("wscl", "lambda_rate", -2.0, "lambda_rate"),
         ("baseline_majority", "lr", 0.0, "learning_rate"),
+        ("ulf", "k", 1, "k must be >= 2"),
+        ("wscw", "k", 1, "k must be >= 2"),
+        ("wscl", "k", 1, "k must be >= 2"),
+        ("baseline_majority", "max_features", 0, "max_features must be >= 1"),
+        ("ulf", "max_features", -1, "max_features must be >= 1"),
     ])
     def test_rejects_bad_method_value(self, method, key, value, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(method=method, **{key: value})
+
+    @pytest.mark.parametrize("given", ["dev_doc_path", "dev_gold_path", "test_doc_path",
+                                       "test_gold_path"])
+    def test_rejects_half_a_held_out_split(self, given):
+        split = given.split("_")[0]
+        with pytest.raises(ValueError, match=f"needs both {split}_doc_path and {split}_gold_path"):
+            RunConfig(**{given: "x.tsv"})
 
     def test_method_config_per_method(self):
         assert RunConfig(method="baseline_majority").method_config(3) is None
@@ -141,18 +152,18 @@ class TestRun:
         cfg = RunConfig(method="baseline_majority",
                         out_dir=str(tmp_path / "run"), **self._fast())
         report = run(cfg, ds=ds)
-        assert report.mean >= 0.98  # only uncovered samples can miss
+        assert report["mean"] >= 0.98  # only uncovered samples can miss
 
     def test_repeat_bookkeeping_and_sem(self, tmp_path):
         ds, _ = generate(SynthConfig(n_samples=200, seed=21, coverage_target=0.8))
         cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
                         **self._fast(repeats=5))
         report = run(cfg, ds=ds)
-        assert len(report.values) == 5
-        assert np.isclose(report.mean, np.mean(report.values))
-        expect_sem = np.std(report.values, ddof=1) / np.sqrt(5)
-        assert np.isclose(report.sem, expect_sem)
-        assert not report.partial
+        assert len(report["values"]) == 5
+        assert np.isclose(report["mean"], np.mean(report["values"]))
+        expect_sem = np.std(report["values"], ddof=1) / np.sqrt(5)
+        assert np.isclose(report["sem"], expect_sem)
+        assert not report["partial"]
 
     def test_artifacts_written(self, tmp_path):
         ds, _ = generate(SynthConfig(n_samples=150, seed=22, coverage_target=0.8))
@@ -166,6 +177,29 @@ class TestRun:
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["method"] == "ulf"
         assert "wall_clock" not in json.dumps(payload)
+
+    @pytest.mark.parametrize("case", ["dev_split", "failed_repeat"])
+    def test_returns_the_metrics_json_record(self, tmp_path, monkeypatch, case):
+        ds, _ = generate(SynthConfig(n_samples=120, seed=24, coverage_target=0.8))
+        split = {}
+        if case == "dev_split":
+            (tmp_path / "docs.tsv").write_text("".join(f"h{i}\t{t}\n"
+                                                       for i, t in enumerate(ds.texts[:30])))
+            (tmp_path / "gold.tsv").write_text("".join(f"h{i}\t{g}\n"
+                                                       for i, g in enumerate(ds.gold[:30])))
+            split = {"dev_doc_path": str(tmp_path / "docs.tsv"),
+                     "dev_gold_path": str(tmp_path / "gold.tsv")}
+        else:
+            self._flaky_repeats(monkeypatch, KeyError("boom"))
+        out = tmp_path / "run"
+        metrics = run(RunConfig(method="wscw", partitions=1, out_dir=str(out), **split,
+                                **self._fast(repeats=2)), ds=ds)
+        text = (out / "metrics.json").read_text()
+        assert json.dumps(metrics, indent=1, sort_keys=True) == text
+        assert json.loads(text) == metrics
+        assert metrics["partial"] == (case == "failed_repeat")
+        assert (metrics["dev_mean"] is None) == (case == "failed_repeat")
+        assert list(json.loads((out / "timing.json").read_text())) == ["wall_clock_sec"]
 
     def test_wscl_writes_prune_report_and_wscw_weights(self, tmp_path):
         ds, _ = generate(SynthConfig(n_samples=150, seed=23, coverage_target=0.8))
@@ -197,7 +231,7 @@ class TestRun:
                         **self._fast(epochs=25, lr=0.1))
         report = run(cfg, ds=ds)
         # the classifier generalizes to the held-out documents
-        assert report.mean >= 0.9
+        assert report["mean"] >= 0.9
 
     @pytest.mark.parametrize("docs, gold, match", [
         ("a\tx y\nb\ty z\n", "a\t0\n", r"gold\.tsv: missing gold label for sample id 'b'"),
@@ -319,8 +353,8 @@ class TestRun:
         cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
                         **self._fast(repeats=3))
         report = run(cfg, ds=ds)
-        assert len(report.values) == 2 and report.partial
-        assert report.failures == ["repeat 0: KeyError: 'boom'"]
+        assert len(report["values"]) == 2 and report["partial"]
+        assert report["failures"] == ["repeat 0: KeyError: 'boom'"]
 
     def test_keyboard_interrupt_stops_the_run(self, tmp_path, monkeypatch):
         ds, _ = generate(SynthConfig(n_samples=200, seed=21, coverage_target=0.8))
@@ -598,6 +632,10 @@ class TestCli:
         ("ulf", "p", "2", "p must lie in"),
         ("wscw", "epsilon", "0", "epsilon must lie in"),
         ("wscl", "lr", "0", "learning_rate must be positive"),
+        ("ulf", "k", "1", "k must be >= 2"),
+        ("wscw", "k", "1", "k must be >= 2"),
+        ("wscl", "k", "1", "k must be >= 2"),
+        ("wscw", "test_doc_path", "docs.tsv", "needs both test_doc_path and test_gold_path"),
     ])
     def test_bad_value_keeps_the_previous_run(self, tmp_path, verb, key, value, match):
         data = self._synth(tmp_path)
@@ -682,8 +720,8 @@ class TestCli:
 
         def fake_run(cfg):
             seen.append(cfg.method)
-            return MetricsReport(metric=cfg.metric, values=[0.5], mean=0.5, sem=0.0,
-                                 wall_clock_sec=0.0)
+            return {"method": cfg.method, "metric": cfg.metric, "mean": 0.5, "sem": 0.0,
+                    "dev_mean": None, "partial": False}
         monkeypatch.setattr(cli, "run", fake_run)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"method={method}\nk=3\n")

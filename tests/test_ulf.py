@@ -206,6 +206,15 @@ class TestRunUlf:
         assert (a.final_labels.labels == b.final_labels.labels).all()
         assert (a.refined_t == b.refined_t).all()
 
+    def test_iterations_run_counts_the_passes_up_to_a_stall_stop(self):
+        ds, _ = generate(SynthConfig(n_samples=200, seed=8, lf_precision=1.0,
+                                     coverage_target=0.9))
+        cfg = UlfConfig(p=0.3, k=3, max_iters=10, stall_patience=1, seed=8,
+                        clf=ClassifierConfig(epochs=3, seed=8))
+        res = run_ulf(ds, cfg, train_final=False)
+        assert res.diagnostics[-1]["label_change_fraction"] == 0.0
+        assert res.iterations_run == len(res.diagnostics) < cfg.max_iters
+
     def test_errors_carry_iteration_index(self):
         ds, _ = generate(SynthConfig(n_samples=100, seed=10, coverage_target=0.8))
 

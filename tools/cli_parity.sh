@@ -9,7 +9,9 @@
 # ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), wscw, wscl by
 # signature and by LF, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a wscl
 # grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
-# recorded fold failure is compared too.  The `stats` verb's output is written
+# recorded fold failure is compared too.  One more ulf run (--iters 2) has no
+# held-out split and is scored on training gold, so the null-dev form of
+# metrics.json is compared too.  The `stats` verb's output is written
 # into the directory twice, with gold and `--stats_repeats 3` and without gold,
 # so its report is compared too.  It then compares the two directories
 # with `diff -r`, ignoring timing.json, the one file that holds wall-clock times.  Exit status: 0 when they are identical,
@@ -49,6 +51,7 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
+    wsd ulf "${train[@]}" --gold_path data/gold.tsv --repeats 2 --iters 2 --out_dir runs/ulf_gold
 }
 
 (run_all "$parent" "$work/parent")
