@@ -75,6 +75,8 @@ def _hold_out(ds: WeakDataset, strategy: str, units, what: str, k: int,
     n_units = units.shape[1]
     if k < 2:
         raise ValueError("k must be >= 2")
+    if not lambda_rate >= 0:
+        raise ValueError("lambda_rate must be nonnegative")
     if k > n_units:
         raise ValueError(f"k={k} exceeds the number of {what} ({n_units})")
     perm = np.random.default_rng([seed, 0]).permutation(n_units)

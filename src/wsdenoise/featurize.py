@@ -104,8 +104,11 @@ def count_terms(texts: list[str]) -> TermCounts:
     nnz, shape = counts.nnz, counts.shape
     data, indices = (a if a.base is None else a.base for a in (counts.data, counts.indices))
     del counts, ids
-    data.resize(nnz)
-    indices.resize(nnz)
+    # with the matrix and its views gone, these names are the buffers' only
+    # holders, so the reference check may be skipped; it would refuse under a
+    # tracer or profiler, whose call of ``resize`` holds one more reference
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
     return TermCounts(terms, sp.csr_array((data, indices, indptr), shape=shape, copy=False))
 
 

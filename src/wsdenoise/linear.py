@@ -59,17 +59,17 @@ the reduction itself runs.  One update, ``w -= gw``, follows for every
 feature and bias row.  It adds the L2 term to the feature blocks (the first
 V rows) of the models in the step only, never to a bias row: a lone model
 adds it at its own steps and no others.  After the steps, one forward pass
-over the stacked rows of each run of consecutive live models gives the
-epoch-loss terms of every model in the run at once; the rows of a model that
-patience stopped or that failed are not computed.
+over each live model's own stacked rows gives its epoch-loss terms; the rows
+of a model that patience stopped or that failed are not computed.
 
 What stays per model: the permutation, the batch weight sum and the
 zero-weight-batch skip, the non-finite checks, the epoch loss sum, the
 best-epoch copy and patience.  A step checks its losses in bulk: while its
-weighted log-probabilities and the sum of squares of all of ``w`` (bias
-rows included, which only makes the check stricter) are far from overflow
-(``_SAFE``), no model's loss can be non-finite; otherwise each model's loss
-is computed as a lone model computes it (``_loss``, on its feature block).
+weighted log-probabilities stay within one bound for the whole epoch and the
+sum of squares of all of ``w`` (bias rows included, which only makes the
+check stricter) is far from overflow (``_SAFE``), no model's loss can be
+non-finite; otherwise each model's loss is computed as a lone model computes
+it (``_loss``, on its feature block).
 A model whose loss is non-finite has failed: its later batches of the epoch
 still run, on its own block and bias row, and when the epoch ends it drops
 out with both zeroed, as a model stopped by patience does, so its failure
@@ -105,12 +105,12 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ValueError("epochs, patience and batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError("l2 must be nonnegative and finite")
 
 
 @dataclass
@@ -291,8 +291,9 @@ class _Epoch:
     weighs ``wsum[i]``, has ``length[i]`` rows and covers positions
     ``edge[i]:edge[i + 1]`` of ``order``, the stacked rows in step-major
     order.  The j-th step that has a batch holds batches
-    ``step_ptr[j]:step_ptr[j + 1]``, and ``tmax[j]`` bounds the step's
-    weighted log-probabilities for the bulk loss check.
+    ``step_ptr[j]:step_ptr[j + 1]``.  ``tmax`` bounds every step's weighted
+    log-probabilities for the bulk loss check; being the bound of the
+    epoch's lightest batch, it is never above a step's own.
     """
 
     def __init__(self, sw, fits, perms, batch_size):
@@ -322,8 +323,7 @@ class _Epoch:
         self.step_ptr = np.append(firsts, keep.size).tolist()
         # |weight x log-probability| below this keeps every batch's loss sum
         # and its quotient by the batch weight sum below _SAFE
-        wcap = np.minimum(1.0, np.minimum.reduceat(wsum, firsts))
-        self.tmax = (_SAFE / batch_size * wcap).tolist()
+        self.tmax = _SAFE / batch_size * min(1.0, float(wsum.min()))
         self.model, self.wsum, self.length, self.edge = model, wsum, length, edge.tolist()
 
 
@@ -369,7 +369,7 @@ def _run_steps(x, y, sw, ep: _Epoch, w, fits, widths, cfg: ClassifierConfig) -> 
         t, gw = _step(indptr[r0:r1 + 1], indices, data, w, block_y[r0:r1],
                       block_sw[r0:r1], block_scale[r0:r1])
         sq = w_flat @ w_flat
-        if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax[j]):
+        if not (sq < _SAFE and l2 * sq < _SAFE and -t.min() < ep.tmax):
             for i in range(p, q):  # some loss may be non-finite: compute each exactly
                 f = int(model[i])
                 if not np.isfinite(_loss(t[edge[i] - a:edge[i + 1] - a], ep.wsum[i],
@@ -382,12 +382,6 @@ def _run_steps(x, y, sw, ep: _Epoch, w, fits, widths, cfg: ClassifierConfig) -> 
         gw *= lr
         w -= gw  # blocks and bias rows no row touched have a zero gradient
     return failed
-
-
-def _runs(fs: list) -> list:
-    """The runs of consecutive integers in the increasing list ``fs``, as (first, last + 1) pairs."""
-    cut = [i for i in range(1, len(fs)) if fs[i] != fs[i - 1] + 1]
-    return [(fs[a], fs[c - 1] + 1) for a, c in zip([0] + cut, cut + [len(fs)])]
 
 
 def train_group(features, labels: list, sample_weights: list | None = None,
@@ -447,18 +441,11 @@ def train_group(features, labels: list, sample_weights: list | None = None,
                 fail(f, epoch)  # its block ran on to the end of the epoch; now it is zeroed
             if not live:
                 break
-            # the epoch-loss terms of each run of consecutive live models from one
-            # pass over its rows; rows are independent, so each model's terms come
-            # out as they would alone
-            terms = {}
-            for f0, f1 in _runs(live):
-                lo, hi = rows[f0], rows[f1]
-                _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w, y[lo:hi], sw[lo:hi])
-                for f in range(f0, f1):
-                    terms[f] = t[rows[f] - lo:rows[f + 1] - lo]
             for f in list(live):
                 fit = fits[f]
-                epoch_loss = float(_loss(terms[f], sw[fit.rows].sum(), w[fit.cols], cfg.l2))
+                lo, hi = rows[f], rows[f + 1]
+                _, _, t = _forward(x.indptr[lo:hi + 1], x.indices, x.data, w, y[lo:hi], sw[lo:hi])
+                epoch_loss = float(_loss(t, sw[lo:hi].sum(), w[fit.cols], cfg.l2))
                 if not np.isfinite(epoch_loss):
                     fail(f, epoch)
                     continue

@@ -25,7 +25,7 @@ class SynthConfig:
     n_samples: int = 1000
     n_classes: int = 2
     n_lfs: int = 10
-    lf_precision: float | list = 0.9     # scalar, or one value per LF
+    lf_precision: float = 0.9            # of every LF
     coverage_target: float = 0.87
     misallocated_lfs: list = field(default_factory=list)  # (lf index, wrong class)
     vocab_size: int = 60
@@ -37,6 +37,8 @@ class SynthConfig:
             raise ValueError("n_samples, n_classes, n_lfs out of range")
         if not 0.0 < self.coverage_target <= 1.0:
             raise ValueError("coverage_target must lie in (0, 1]")
+        if not 0.0 < self.lf_precision <= 1.0:
+            raise ValueError("lf_precision must lie in (0, 1]")
         for lf, cls in self.misallocated_lfs:
             if not 0 <= lf < self.n_lfs:
                 raise ValueError(f"misallocated LF index {lf} out of range")
@@ -44,21 +46,11 @@ class SynthConfig:
                 raise ValueError(f"misallocated class {cls} out of range")
 
 
-def _precisions(cfg: SynthConfig) -> np.ndarray:
-    p = cfg.lf_precision
-    arr = np.full(cfg.n_lfs, float(p)) if np.isscalar(p) else np.asarray(p, dtype=float)
-    if arr.shape != (cfg.n_lfs,):
-        raise ValueError("lf_precision must be a scalar or one value per LF")
-    if (arr <= 0).any() or (arr > 1).any():
-        raise ValueError("lf_precision values must lie in (0, 1]")
-    return arr
-
-
 def generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
     """Build a dataset plus its gold labels; reproducible under the seed."""
     rng = np.random.default_rng(cfg.seed)
     n, k, l = cfg.n_samples, cfg.n_classes, cfg.n_lfs
-    prec = _precisions(cfg)
+    prec = cfg.lf_precision
 
     gold = rng.integers(k, size=n)
     true_class = np.arange(l) % k
@@ -68,14 +60,14 @@ def generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
     r = 1.0 - (1.0 - cfg.coverage_target) ** (1.0 / l)
     q_hit = prec * r * k
     q_bg = (1.0 - prec) * r * k / (k - 1)
-    if (q_hit > 1.0).any() or (q_bg > 1.0).any():
+    if q_hit > 1.0 or q_bg > 1.0:
         raise ValueError(
             "infeasible coverage/precision combination: required trigger rates "
-            f"q_hit={q_hit.max():.3f}, q_bg={q_bg.max():.3f} exceed 1"
+            f"q_hit={q_hit:.3f}, q_bg={q_bg:.3f} exceed 1"
         )
 
     own = true_class[None, :] == gold[:, None]           # (N, L)
-    fire_p = np.where(own, q_hit[None, :], q_bg[None, :])
+    fire_p = np.where(own, q_hit, q_bg)
     fires = rng.random((n, l)) < fire_p
     z = sp.csr_array(fires.astype(np.int8))
 

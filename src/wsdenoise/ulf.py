@@ -21,6 +21,7 @@ import numpy as np
 
 from wsdenoise.confidence import NO_LABEL, calibrate_rows
 from wsdenoise.corpus import LabelVector, WeakDataset, majority_vote
+from wsdenoise.crossval import STRATEGIES
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
@@ -44,7 +45,9 @@ class UlfConfig:
             raise ValueError("k must be >= 2")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.lambda_rate < 0:
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if not self.lambda_rate >= 0:
             raise ValueError("lambda_rate must be nonnegative")
         if self.max_iters < 1 or self.stall_patience < 1:
             raise ValueError("max_iters and stall_patience must be >= 1")

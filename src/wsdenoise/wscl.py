@@ -44,7 +44,7 @@ class WsclConfig:
             raise ValueError("k must be >= 2")
         if self.strategy not in ("by_lf", "by_signature"):
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
-        if self.lambda_rate < 0:
+        if not self.lambda_rate >= 0:
             raise ValueError("lambda_rate must be nonnegative")
 
 

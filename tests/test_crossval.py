@@ -88,6 +88,15 @@ class TestPlanRandom:
         with pytest.raises(ValueError, match="exceeds"):
             plan_random(ds, k=4)
 
+    @pytest.mark.parametrize("plan", [plan_random, plan_by_lf, plan_by_signature])
+    @pytest.mark.parametrize("lambda_rate", [-1.0, float("nan")])
+    def test_bad_lambda_rate_rejected(self, plan, lambda_rate):
+        z = np.zeros((10, 3))
+        z[:3, 0] = z[3:6, 1] = z[6:8, 2] = 1
+        ds = make_dataset(z, np.eye(3, 2))
+        with pytest.raises(ValueError, match="lambda_rate must be nonnegative"):
+            plan(ds, k=2, lambda_rate=lambda_rate)
+
 
 class TestPlanByLf:
     def test_disjoint_signatures_partition(self):

@@ -1,4 +1,6 @@
+import cProfile
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -158,6 +160,30 @@ class TestCountTerms:
         for a in (c.data, c.indices):
             assert (a if a.base is None else a.base).size == c.nnz
 
+
+    @pytest.mark.parametrize("under", ["settrace", "cProfile"])
+    def test_counts_under_a_tracer_or_profiler(self, under):
+        # a tracer or profiler holds one more reference to the buffers while
+        # count_terms shrinks them; the counts must come out as without one
+        texts = ["a a b", "c", "b c b a a"]
+        expected = featurize.count_terms(texts).counts
+        if under == "settrace":
+            previous = sys.gettrace()
+            sys.settrace(lambda *a: None)
+            try:
+                tc = featurize.count_terms(texts)
+            finally:
+                sys.settrace(previous)
+        else:
+            profile = cProfile.Profile()
+            tc = profile.runcall(featurize.count_terms, texts)
+        c = tc.counts
+        assert tc.terms == ["a", "b", "c"]
+        for got, want in zip((c.data, c.indices, c.indptr),
+                             (expected.data, expected.indices, expected.indptr)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for a in (c.data, c.indices):
+            assert (a if a.base is None else a.base).size == c.nnz
 
 class TestFitRows:
     """``fit_rows`` cuts its rows in blocks that join to ``_tfidf`` of the whole row set."""

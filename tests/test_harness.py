@@ -119,6 +119,12 @@ class TestRunConfig:
         ("wscl", "k", 1, "k must be >= 2"),
         ("baseline_majority", "max_features", 0, "max_features must be >= 1"),
         ("ulf", "max_features", -1, "max_features must be >= 1"),
+        ("ulf", "lambda_rate", float("nan"), "lambda_rate must be nonnegative"),
+        ("wscl", "lambda_rate", float("nan"), "lambda_rate must be nonnegative"),
+        ("wscw", "lr", float("nan"), "learning_rate must be positive and finite"),
+        ("ulf", "lr", float("inf"), "learning_rate must be positive and finite"),
+        ("wscl", "l2", float("nan"), "l2 must be nonnegative and finite"),
+        ("baseline_majority", "l2", float("inf"), "l2 must be nonnegative and finite"),
     ])
     def test_rejects_bad_method_value(self, method, key, value, match):
         with pytest.raises(ValueError, match=match):
@@ -636,6 +642,9 @@ class TestCli:
         ("wscw", "k", "1", "k must be >= 2"),
         ("wscl", "k", "1", "k must be >= 2"),
         ("wscw", "test_doc_path", "docs.tsv", "needs both test_doc_path and test_gold_path"),
+        ("ulf", "lambda_rate", "nan", "lambda_rate must be nonnegative"),
+        ("wscl", "lr", "nan", "learning_rate must be positive and finite"),
+        ("wscw", "l2", "inf", "l2 must be nonnegative and finite"),
     ])
     def test_bad_value_keeps_the_previous_run(self, tmp_path, verb, key, value, match):
         data = self._synth(tmp_path)

@@ -362,7 +362,7 @@ class TestTrainGroup:
         assert len(epochs) == cfg.epochs and epochs[1:] == ["ll"] * (cfg.epochs - 1)
 
     def test_more_than_eight_classes_equal_lone_fits(self, rng):
-        # K >= 8 takes numpy's axis-1 reductions, over every live model's rows at once
+        # K >= 8 takes numpy's axis-1 reductions, in the steps and the epoch-loss passes
         members = self.members(rng, k=9)
         cfg = ClassifierConfig(learning_rate=0.5, epochs=3, batch_size=8)
         alone = [train(x, y, sw, cfg, num_classes=9) for x, y, sw in members]
@@ -370,20 +370,10 @@ class TestTrainGroup:
         group = train_group(list(x), list(y), list(sw), cfg, num_classes=9)
         assert all(_same(g, a) for g, a in zip(group, alone))
 
-    @pytest.mark.parametrize("live, runs", [
-        ([0], [(0, 1)]), ([0, 1, 2], [(0, 3)]), ([0, 2], [(0, 1), (2, 3)]),
-        ([1, 2, 4, 7, 8], [(1, 3), (4, 5), (7, 9)])])
-    def test_epoch_loss_passes_skip_stopped_models(self, live, runs):
-        # each run of consecutive live models is one forward pass; the rows of
-        # a stopped or failed model between them are not computed
-        assert linear._runs(live) == runs
-
     def test_epoch_loss_passes_leave_out_a_dropped_model(self, rng, monkeypatch):
-        # once the middle model has failed, each epoch's loss passes cover the
-        # 50 rows of the first model and the 64 of the last, not the 137 of all
-        members = self.members(rng)
-        x, y, sw = members[1]
-        members[1] = (x * 1e200, y, sw)
+        # each epoch runs one loss pass per live model over its own rows: 50, 23
+        # and 64 rows; once the middle model has failed, the passes cover the 50
+        # rows of the first model and the 64 of the last, not the 137 of all
         passes, in_step = [], []
         forward, step = linear._forward, linear._step
 
@@ -401,13 +391,18 @@ class TestTrainGroup:
 
         monkeypatch.setattr(linear, "_step", spy_step)
         monkeypatch.setattr(linear, "_forward", spy_forward)
-        x, y, sw = zip(*members)
-        with np.errstate(all="ignore"):
-            group = train_group(list(x), list(y), list(sw),
-                                ClassifierConfig(learning_rate=0.5, epochs=3, batch_size=8),
-                                num_classes=3)
-        assert isinstance(group[1], RuntimeError)
-        assert passes == [50, 64] * 3
+        cfg = ClassifierConfig(learning_rate=0.5, epochs=3, batch_size=8)
+        members = self.members(rng)
+        for diverge, expected in [(False, [50, 23, 64]), (True, [50, 64])]:
+            if diverge:
+                x, y, sw = members[1]
+                members[1] = (x * 1e200, y, sw)
+            passes.clear()
+            x, y, sw = zip(*members)
+            with np.errstate(all="ignore"):
+                group = train_group(list(x), list(y), list(sw), cfg, num_classes=3)
+            assert isinstance(group[1], RuntimeError) is diverge
+            assert passes == expected * 3
 
     def test_a_diverging_model_warns_nothing(self):
         # under this learning rate and l2 the weights grow geometrically: models

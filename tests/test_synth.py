@@ -75,8 +75,12 @@ class TestGenerate:
             SynthConfig(coverage_target=0.0)
         with pytest.raises(ValueError):
             SynthConfig(misallocated_lfs=[(99, 0)])
-        with pytest.raises(ValueError):
-            generate(SynthConfig(lf_precision=[0.9, 0.9]))
+        with pytest.raises(ValueError, match="lf_precision must lie in"):
+            SynthConfig(lf_precision=float("nan"))
+        with pytest.raises(ValueError, match="lf_precision must lie in"):
+            SynthConfig(lf_precision=0.0)
+        with pytest.raises(TypeError):  # one precision for every LF; a list is rejected
+            SynthConfig(lf_precision=[0.9, 0.9])
 
     def test_round_trips_through_files(self, tmp_path):
         ds, gold = generate(SynthConfig(n_samples=120, seed=10))

@@ -164,6 +164,17 @@ class TestRelabelUnmatched:
         assert (out.labels[unm] == ds.gold[unm]).mean() >= 0.8
 
 
+class TestUlfConfig:
+    @pytest.mark.parametrize("key, value, match", [
+        ("lambda_rate", float("nan"), "lambda_rate must be nonnegative"),
+        ("strategy", "bogus", "strategy must be one of"),
+    ])
+    def test_rejects_bad_value(self, key, value, match):
+        # rejected at construction, not at the first iteration's plan
+        with pytest.raises(ValueError, match=match):
+            UlfConfig(**{key: value})
+
+
 class TestRunUlf:
     def test_identity_configuration(self):
         ds, _ = generate(SynthConfig(n_samples=300, seed=6, coverage_target=0.7))

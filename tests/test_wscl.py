@@ -236,3 +236,7 @@ class TestRunWscl:
     def test_negative_lambda_rate_rejected(self):
         with pytest.raises(ValueError, match="lambda_rate must be nonnegative"):
             WsclConfig(lambda_rate=-1)
+
+    def test_nan_lambda_rate_rejected(self):
+        with pytest.raises(ValueError, match="lambda_rate must be nonnegative"):
+            WsclConfig(lambda_rate=float("nan"))

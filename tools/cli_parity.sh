@@ -6,9 +6,12 @@
 # With each checkout's src/ on PYTHONPATH, in a fresh directory per checkout,
 # the script synthesizes a 600-document dataset with 200-document dev and test
 # splits, then runs the CLI with `--repeats 2 --dump_folds true`: baseline,
-# ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), wscw, wscl by
-# signature and by LF, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a wscl
-# grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
+# ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), ulf on random
+# plans that admit unmatched samples to training, with fold models stopping at
+# different epochs, 3 to 20, inside each fold group (--strategy rndm
+# --lambda_rate 2 --patience 2 --lr 8 --iters 2), wscw, wscl by signature and
+# by LF, wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3,
+# and a wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
 # recorded fold failure is compared too.  One more ulf run (--iters 2) has no
 # held-out split and is scored on training gold, so the null-dev form of
 # metrics.json is compared too.  The `stats` verb's output is written
@@ -46,9 +49,12 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd baseline "${io[@]}" --out_dir runs/baseline
     wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
+    wsd ulf "${io[@]}" --strategy rndm --lambda_rate 2 --patience 2 --lr 8 --iters 2 \
+        --out_dir runs/ulf_rndm
     wsd wscw "${io[@]}" --out_dir runs/wscw
     wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
+    wsd wscl "${io[@]}" --lambda_rate 1 --out_dir runs/wscl_lambda
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
     wsd ulf "${train[@]}" --gold_path data/gold.tsv --repeats 2 --iters 2 --out_dir runs/ulf_gold
