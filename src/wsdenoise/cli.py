@@ -69,11 +69,11 @@ def _field_types(cls) -> dict:
 
 
 _RUN_TYPES = _field_types(RunConfig)
-_SYNTH_TYPES = _field_types(SynthConfig)
 # verb options that are not config fields; a budget of none means no limit
 _VERB_TYPES = {"budget": (int, True), "stats_repeats": (int, False)}
 _VERB_OF = {"budget": "grid", "stats_repeats": "stats"}  # the one verb that takes each
-_METHOD_OF = {"baseline": "baseline_majority", "stats": "baseline_majority"}  # else the verb
+# each verb's method, else the verb itself; grid's is only a default
+_METHOD_OF = {"baseline": "baseline_majority", "stats": "baseline_majority", "grid": "ulf"}
 
 
 def _coerce(key: str, value: str, types: dict):
@@ -94,14 +94,13 @@ def _coerce(key: str, value: str, types: dict):
     return value
 
 
-def _build_run_config(values: dict, method: str) -> RunConfig:
-    kwargs = {"method": method}
-    for key, raw in values.items():
-        if key not in _RUN_TYPES:
+def _build(cls, values: dict, **fixed):
+    """A ``cls`` from ``fixed`` and the strings ``values``, each parsed as its field declares."""
+    types = _field_types(cls)
+    for key in values:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        if key != "method":
-            kwargs[key] = _coerce(key, raw, _RUN_TYPES)
-    return RunConfig(**kwargs)
+    return cls(**{key: _coerce(key, raw, types) for key, raw in values.items()}, **fixed)
 
 
 def _build_grid(values: dict):
@@ -118,24 +117,15 @@ def _build_grid(values: dict):
 
 def _cmd_synth(values: dict) -> int:
     out_dir = values.pop("out_dir", "synth_data")
-    kwargs = {}
-    for key, raw in values.items():
-        if key == "misallocated_lfs":
-            pairs = []
-            for item in raw.split(",") if raw else []:
-                lf, _, cls = item.partition(":")
-                try:
-                    pairs.append((int(lf), int(cls)))
-                except ValueError:
-                    raise ValueError(f"--misallocated_lfs: expected LF:CLASS integer pairs, "
-                                     f"got {item!r}") from None
-            kwargs[key] = pairs
-        elif key in _SYNTH_TYPES:
-            kwargs[key] = _coerce(key, raw, _SYNTH_TYPES)
-        else:
-            raise ValueError(f"unknown synth config key {key!r}")
-    cfg = SynthConfig(**kwargs)
-    ds, _ = generate(cfg)
+    raw, pairs = values.pop("misallocated_lfs", ""), []
+    for item in raw.split(",") if raw else []:
+        lf, _, cls = item.partition(":")
+        try:
+            pairs.append((int(lf), int(cls)))
+        except ValueError:
+            raise ValueError(f"--misallocated_lfs: expected LF:CLASS integer pairs, "
+                             f"got {item!r}") from None
+    ds, _ = generate(_build(SynthConfig, values, misallocated_lfs=pairs))
     os.makedirs(out_dir, exist_ok=True)
     save_dataset(
         ds,
@@ -166,14 +156,13 @@ def main(argv=None) -> int:
     if ns.verb == "synth":
         return _cmd_synth(values)
 
-    method = (values.pop("method", "ulf") if ns.verb == "grid"
-              else _METHOD_OF.get(ns.verb, ns.verb))
-    if values.get("method", method) != method:
-        raise ValueError(f"--method {values['method']!r} disagrees with the {ns.verb} verb")
+    method = values.pop("method", _METHOD_OF.get(ns.verb, ns.verb))
+    if ns.verb != "grid" and method != _METHOD_OF.get(ns.verb, ns.verb):
+        raise ValueError(f"--method {method!r} disagrees with the {ns.verb} verb")
 
     if ns.verb == "stats":
         repeats = _coerce("stats_repeats", values.pop("stats_repeats", "5"), _VERB_TYPES)
-        cfg = _build_run_config(values, method)
+        cfg = _build(RunConfig, values, method=method)
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
         print(json.dumps(dataset_stats(ds, repeats=repeats, seed=cfg.seed),
                          indent=1, sort_keys=True))
@@ -182,7 +171,7 @@ def main(argv=None) -> int:
     if ns.verb == "grid":
         budget = _coerce("budget", values.pop("budget", "none"), _VERB_TYPES)
         scalars, space = _build_grid(values)
-        base = _build_run_config(scalars, method)
+        base = _build(RunConfig, scalars, method=method)
         if not space:
             raise ValueError("grid verb needs at least one comma-valued hyperparameter")
         best, results = grid_search(base, space, budget=budget)
@@ -193,7 +182,7 @@ def main(argv=None) -> int:
         }, indent=1, sort_keys=True))
         return 0
 
-    cfg = _build_run_config(values, method)
+    cfg = _build(RunConfig, values, method=method)
     metrics = run(cfg)
     summary = {key: metrics[key] for key in ("method", "metric", "mean", "sem", "dev_mean",
                                              "partial")}

@@ -75,22 +75,22 @@ class RunConfig:
     repeats: int = 1
     metric: str = "accuracy"
     # ULF
-    p: float = 0.5
-    k: int = 5
-    iters: int = 20
-    stall_patience: int = 3
-    lambda_rate: float = 0.0
+    p: float = UlfConfig.p
+    k: int = UlfConfig.k
+    iters: int = UlfConfig.max_iters
+    stall_patience: int = UlfConfig.stall_patience
+    lambda_rate: float = UlfConfig.lambda_rate
     # WSCW
-    partitions: int = 3
-    epsilon: float = 0.7
+    partitions: int = WscwConfig.partitions
+    epsilon: float = WscwConfig.epsilon
     # classifier / featurizer
-    lr: float = 1e-2
-    epochs: int = 20
-    patience: int = 5
-    batch_size: int = 32
-    l2: float = 0.0
-    min_df: int = 1
-    max_features: int | None = None
+    lr: float = ClassifierConfig.learning_rate
+    epochs: int = ClassifierConfig.epochs
+    patience: int = ClassifierConfig.patience
+    batch_size: int = ClassifierConfig.batch_size
+    l2: float = ClassifierConfig.l2
+    min_df: int = FeaturizeConfig.min_df
+    max_features: int | None = FeaturizeConfig.max_features
     dump_folds: bool = False
 
     def __post_init__(self):
@@ -105,23 +105,26 @@ class RunConfig:
         for s in ("dev", "test"):
             if bool(getattr(self, f"{s}_doc_path")) != bool(getattr(self, f"{s}_gold_path")):
                 raise ValueError(f"a {s} split needs both {s}_doc_path and {s}_gold_path")
-        self.method_config(self.seed)
+        for method in dict.fromkeys((self.method, "ulf", "wscw")):
+            self.method_config(self.seed, method)
 
-    def method_config(self, seed: int) -> UlfConfig | WsclConfig | WscwConfig | None:
-        """The method's own config for a repeat seeded ``seed`` (None for the baseline).
+    def method_config(self, seed: int,
+                      method: str = "") -> UlfConfig | WsclConfig | WscwConfig | None:
+        """The config of ``method`` (default: the run's) for a repeat seeded ``seed``, or None.
 
-        Building it checks every value the method reads, so ``RunConfig()`` does.
+        Building it checks every setting that method reads; ``ulf`` and ``wscw`` read them all.
         """
         clf, feat = self.classifier_config(seed), self.featurize_config()
         strategy = STRATEGY_ALIASES[self.strategy]
-        if self.method == "ulf":
+        method = method or self.method
+        if method == "ulf":
             return UlfConfig(p=self.p, k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
                              max_iters=self.iters, stall_patience=self.stall_patience,
                              seed=seed, clf=clf, feat=feat)
-        if self.method == "wscl":
+        if method == "wscl":
             return WsclConfig(k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
                               seed=seed, clf=clf, feat=feat)
-        if self.method == "wscw":
+        if method == "wscw":
             return WscwConfig(k=self.k, partitions=self.partitions, epsilon=self.epsilon,
                               seed=seed, clf=clf, feat=feat)
         return None

@@ -106,6 +106,33 @@ class TestLoadDataset:
             load_dataset(*paths[:3])
         assert str(info.value).endswith(where)
 
+    GOOD = {"docs": ["a\tx", "b\ty"], "z": ["2 2", "a\t0", "b\t1"],
+            "t": ["2 2", "0\t0", "1\t1"], "gold": ["a\t0", "b\t1"]}
+
+    @pytest.mark.parametrize("name, lines, where", [
+        ("docs", ["a\tx", "b y"], "docs.tsv line 2: expected 'id<TAB>text'"),
+        ("gold", ["a\t0", "c\t1"], "gold.tsv line 2: unknown sample id 'c'"),
+        ("gold", ["a\t0", "b\t2"], "gold.tsv line 2: class index out of range (K=2)"),
+        ("z", ["2"], "z.tsv line 1: expected header 'N L'"),
+        ("z", ["3 2"], "z.tsv line 1: declared N=3 but documents file has 2"),
+        ("z", ["2 2", "a\t0", "c\t1"], "z.tsv line 3: unknown sample id 'c'"),
+        ("z", ["2 2", "a\tone"], "z.tsv line 2: lf_id must be an integer"),
+        ("t", ["2 two"], "t.tsv line 1: expected header 'L K'"),
+        ("t", ["3 2"], "t.tsv line 1: declared L=3 but Z file has L=2"),
+        ("t", ["2 2", "0"], "t.tsv line 2: expected 'lf_id<TAB>class_id'"),
+        ("t", ["2 2", "0\tx"], "t.tsv line 2: indices must be integers"),
+        ("t", ["2 2", "0\t0", "2\t1"], "t.tsv line 3: LF index out of range"),
+        ("t", ["2 2", "0\t0", "1\t2"], "t.tsv line 3: class index out of range (K=2)"),
+    ])
+    def test_bad_line_names_file_and_line(self, tmp_path, name, lines, where):
+        paths = []
+        for key in ("docs", "z", "t", "gold"):
+            paths.append(tmp_path / f"{key}.tsv")
+            paths[-1].write_text("".join(f"{line}\n" for line in {**self.GOOD, name: lines}[key]))
+        with pytest.raises(ValueError) as info:
+            load_dataset(*paths)
+        assert str(info.value).endswith(where)
+
     def test_keyword_lf_layout_dimensions(self, tmp_path):
         # 10 keyword LFs over 2 classes, a typical spam-filtering layout
         docs = [(f"s{i}", f"comment number {i}") for i in range(30)]
@@ -308,9 +335,36 @@ class TestMajorityVote:
         ds = make_dataset([[1]], [[1.0, 0.0]])
         with pytest.raises(ValueError):
             majority_vote(ds, np.array([[0.0, 0.0]]), 0)
+        with pytest.raises(ValueError, match="t_matrix shape mismatch"):
+            majority_vote(ds, np.eye(2), 0)
+        with pytest.raises(ValueError, match="t_matrix rows must be nonnegative"):
+            majority_vote(ds, np.array([[2.0, -1.0]]), 0)
+
+
+class TestWeakDataset:
+    @pytest.mark.parametrize("change, match", [
+        ({"texts": ["x"]}, "document count does not match Z row count"),
+        ({"ids": ["a", "b", "c"]}, "document count does not match Z row count"),
+        ({"t": np.ones((3, 2))}, r"T shape \(3, 2\) inconsistent with L=2, K=2"),
+        ({"t": np.ones((2, 1)), "num_classes": 1}, "need at least 2 classes"),
+        ({"z": sp.csr_array(np.array([[2, 0], [0, 1]]))}, "Z entries must be 0 or 1"),
+        ({"t": -np.eye(2)}, "T entries must be nonnegative"),
+        ({"gold": np.array([0])}, "gold label vector length mismatch"),
+        ({"gold": np.array([0, 2])}, "gold labels out of range"),
+        ({"gold": np.array([-1, 0])}, "gold labels out of range"),
+    ])
+    def test_rejects_inconsistent_parts(self, change, match):
+        parts = {"texts": ["x", "y"], "ids": ["a", "b"], "z": sp.csr_array(np.eye(2)),
+                 "t": np.eye(2), "num_classes": 2}
+        with pytest.raises(ValueError, match=match):
+            WeakDataset(**{**parts, **change})
 
 
 class TestDatasetStats:
+    def test_repeats_below_one_rejected(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            dataset_stats(make_dataset(np.eye(2), np.eye(2)), repeats=0)
+
     def test_all_zero_z(self):
         ds = make_dataset(np.zeros((4, 2)), [[1, 0], [0, 1]])
         s = dataset_stats(ds)

@@ -89,6 +89,17 @@ class TestPlanRandom:
             plan_random(ds, k=4)
 
     @pytest.mark.parametrize("plan", [plan_random, plan_by_lf, plan_by_signature])
+    def test_k_below_two_rejected(self, plan):
+        ds = make_dataset(np.eye(4), np.tile(np.eye(2), (2, 1)))
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            plan(ds, k=1)
+
+    def test_unknown_strategy_rejected(self):
+        ds = make_dataset(np.eye(4), np.tile(np.eye(2), (2, 1)))
+        with pytest.raises(ValueError, match="unknown strategy 'stratified'; expected one of"):
+            build_plan(ds, "stratified", 2, 0.0, 0)
+
+    @pytest.mark.parametrize("plan", [plan_random, plan_by_lf, plan_by_signature])
     @pytest.mark.parametrize("lambda_rate", [-1.0, float("nan")])
     def test_bad_lambda_rate_rejected(self, plan, lambda_rate):
         z = np.zeros((10, 3))
@@ -294,6 +305,13 @@ class TestEstimateOos:
 
         with pytest.raises(RuntimeError, match="fold 0"):
             estimate_oos(ds, noisy_labels(ds), plan, fold_predict=broken)
+
+    def test_a_sample_no_fold_tests_is_an_error(self):
+        # a hand-built plan whose two folds test samples 0 and 2 only
+        ds = make_dataset(np.eye(4), np.tile(np.eye(2), (2, 1)))
+        plan = FoldPlan([(np.array([1, 2]), np.array([0])), (np.array([0, 3]), np.array([2]))])
+        with pytest.raises(RuntimeError, match="sample 1 was not tested by any fold"):
+            estimate_oos(ds, noisy_labels(ds), plan, fold_predict=uniform_stub)
 
 
 class TestFoldErrorOrder:

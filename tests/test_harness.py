@@ -2,6 +2,7 @@ import json
 import os
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="lengths"):
             evaluate(np.array([0]), np.array([0, 1]), "accuracy")
 
+    def test_unknown_metric(self):
+        with pytest.raises(ValueError, match="unknown metric 'auc'"):
+            evaluate(np.array([0, 1]), np.array([0, 1]), "auc")
+
     def test_brute_force_confusion_oracle(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 100))
@@ -125,10 +130,34 @@ class TestRunConfig:
         ("ulf", "lr", float("inf"), "learning_rate must be positive and finite"),
         ("wscl", "l2", float("nan"), "l2 must be nonnegative and finite"),
         ("baseline_majority", "l2", float("inf"), "l2 must be nonnegative and finite"),
+        ("ulf", "epochs", 0, "epochs, patience and batch_size must be >= 1"),
+        ("wscl", "patience", 0, "epochs, patience and batch_size must be >= 1"),
+        ("baseline_majority", "batch_size", 0, "epochs, patience and batch_size must be >= 1"),
+        ("ulf", "iters", 0, "max_iters and stall_patience must be >= 1"),
+        ("wscw", "partitions", 0, "partitions must be >= 1"),
+        ("ulf", "repeats", 0, "repeats must be >= 1"),
+        # a setting the method does not read is checked too: config.txt records it
+        ("wscw", "p", 7, "p must lie in"),
+        ("wscw", "lambda_rate", float("nan"), "lambda_rate must be nonnegative"),
+        ("wscw", "stall_patience", 0, "max_iters and stall_patience must be >= 1"),
+        ("baseline_majority", "p", 7, "p must lie in"),
+        ("baseline_majority", "epsilon", 5, "epsilon must lie in"),
+        ("baseline_majority", "partitions", 0, "partitions must be >= 1"),
+        ("baseline_majority", "iters", 0, "max_iters and stall_patience must be >= 1"),
+        ("baseline_majority", "lambda_rate", -1, "lambda_rate must be nonnegative"),
+        ("wscl", "p", -1, "p must lie in"),
+        ("wscl", "iters", 0, "max_iters and stall_patience must be >= 1"),
+        ("wscl", "epsilon", 0, "epsilon must lie in"),
+        ("ulf", "epsilon", 2, "epsilon must lie in"),
+        ("ulf", "partitions", -3, "partitions must be >= 1"),
     ])
     def test_rejects_bad_method_value(self, method, key, value, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(method=method, **{key: value})
+
+    @pytest.mark.parametrize("method", ["baseline_majority", "ulf", "wscw"])
+    def test_random_strategy_is_refused_by_wscl_only(self, method):
+        assert RunConfig(method=method, strategy="rndm").strategy == "rndm"
 
     @pytest.mark.parametrize("given", ["dev_doc_path", "dev_gold_path", "test_doc_path",
                                        "test_gold_path"])
@@ -256,6 +285,15 @@ class TestRun:
                         test_gold_path=str(tmp_path / "gold.tsv"), **self._fast())
         with pytest.raises(ValueError, match=match):
             run(cfg, ds=ds)
+
+    def test_needs_a_test_split_or_training_gold(self, tmp_path):
+        ds, _ = generate(SynthConfig(n_samples=60, seed=27, coverage_target=0.8))
+        ds = replace(ds, gold=None)
+        cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"),
+                        **self._fast())
+        with pytest.raises(ValueError, match="no evaluation target: provide a test split"):
+            run(cfg, ds=ds)
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("split", ["dev", "test"])
     def test_empty_heldout_split_is_rejected_before_the_run_directory_is_touched(
@@ -645,6 +683,7 @@ class TestCli:
         ("ulf", "lambda_rate", "nan", "lambda_rate must be nonnegative"),
         ("wscl", "lr", "nan", "learning_rate must be positive and finite"),
         ("wscw", "l2", "inf", "l2 must be nonnegative and finite"),
+        ("wscw", "p", "7", "p must lie in"),
     ])
     def test_bad_value_keeps_the_previous_run(self, tmp_path, verb, key, value, match):
         data = self._synth(tmp_path)
@@ -703,14 +742,14 @@ class TestCli:
             cli.main(argv)
 
     def test_types_follow_annotations(self):
-        cfg = cli._build_run_config({"k": "3", "lr": "0.5", "dump_folds": "yes",
+        cfg = cli._build(RunConfig, {"k": "3", "lr": "0.5", "dump_folds": "yes",
                                      "out_dir": "none", "max_features": "none",
-                                     "gold_path": ""}, "ulf")
+                                     "gold_path": ""}, method="ulf")
         assert (cfg.k, cfg.lr, cfg.dump_folds) == (3, 0.5, True)
         assert cfg.out_dir == "none"
         assert cfg.max_features is None and cfg.gold_path is None
         with pytest.raises(ValueError, match="--lr.*'fast'"):
-            cli._build_run_config({"lr": "fast"}, "ulf")
+            cli._build(RunConfig, {"lr": "fast"}, method="ulf")
 
     @pytest.mark.parametrize("verb, method", [
         ("ulf", "wscl"), ("wscw", "ulf"), ("wscl", "baseline_majority"), ("baseline", "ulf"),
@@ -755,3 +794,18 @@ class TestCli:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):
             cli.main(["baseline", "--bogus", "1"])
+        with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+            cli.main(["synth", "--bogus", "1", "--out_dir", str(tmp_path / "data")])
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("argv, match", [
+        (["ulf", "extra"], "unexpected argument 'extra'"),
+        (["ulf", "--seed", "1", "--k"], "missing value for --k"),
+        (["grid", "--p", "0.3", "--dev_doc_path", "d", "--dev_gold_path", "g"],
+         "grid verb needs at least one comma-valued hyperparameter"),
+    ])
+    def test_malformed_command_line_rejected(self, monkeypatch, argv, match):
+        monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "grid_search", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=match):
+            cli.main(argv)

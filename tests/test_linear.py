@@ -1,9 +1,13 @@
 import tracemalloc
 import warnings
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from wsdenoise import featurize, linear
@@ -16,6 +20,8 @@ from wsdenoise.linear import (
     train,
     train_group,
 )
+
+from reference import ref_train
 
 
 def toy_separable():
@@ -278,6 +284,23 @@ class TestTrain:
         assert np.array_equal(m.weights, -lr * gw)
         assert np.array_equal(m.bias, -lr * gb)
 
+    @pytest.mark.parametrize("case, match", [
+        ("short_labels", "feature and label lengths disagree"),
+        ("negative_weight", "sample weights must be nonnegative"),
+        ("zero_weights", "sample weights must not all be zero"),
+        ("short_blocks", "row blocks disagree with their declared shape and entries"),
+    ])
+    def test_inconsistent_inputs_are_rejected(self, case, match):
+        x, y = toy_separable()
+        sw = {"negative_weight": [1.0, -1.0, 1.0, 1.0], "zero_weights": np.zeros(4)}.get(case)
+        if case == "short_labels":
+            y = y[:3]
+        if case == "short_blocks":  # declares four rows, yields three
+            c = sp.csr_array(x)
+            x = featurize.RowBlocks(c.shape, c.nnz, iter([c[:3]]))
+        with pytest.raises(ValueError, match=match):
+            train(x, y, sw, num_classes=2)
+
     def test_exploding_lr_reports_epoch(self):
         x = np.array([[1e200, -1e200], [-1e200, 1e200]] * 8)
         y = np.array([0, 1] * 8)
@@ -421,6 +444,24 @@ class TestTrainGroup:
             f"non-finite loss at epoch {e}; learning rate too large?" for e in (11, 9)]
         assert _same(group[1], train(xs[1], ys[1], cfg=cfg, num_classes=3))
 
+    def test_a_last_step_that_overflows_fails_at_the_epoch_loss(self, rng, monkeypatch):
+        # one step per epoch from zero weights: that step's own loss is finite,
+        # and only the epoch-loss pass sees the weights it pushed past overflow
+        x, y = rng.random((8, 4)), rng.integers(3, size=8)
+        healthy = x * 1e-250  # its weights stay small enough for finite losses
+        cfg = ClassifierConfig(learning_rate=1e200, epochs=3, batch_size=8)
+        step_failures, run_steps = [], linear._run_steps
+        monkeypatch.setattr(linear, "_run_steps",
+                            lambda *a: step_failures.append(run_steps(*a)) or step_failures[-1])
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite loss at epoch 0;"):
+                train(x, y, cfg=cfg, num_classes=3)
+            alone = train(healthy, y, cfg=cfg, num_classes=3)
+            group = train_group([x, healthy], [y, y], None, cfg, num_classes=3)
+        assert step_failures and not any(step_failures)
+        assert str(group[0]) == "non-finite loss at epoch 0; learning rate too large?"
+        assert _same(group[1], alone) and len(alone.training_log) == cfg.epochs
+
     def test_inputs_must_pair_up(self, rng):
         x, y, sw = self.members(rng)[0]
         with pytest.raises(ValueError, match="one feature matrix, label vector"):
@@ -442,6 +483,51 @@ class TestTrainGroup:
             assert plain.bias.any()  # the biases did move
             assert penalized.bias.tobytes() == plain.bias.tobytes()
             assert not plain.weights.any() and not penalized.weights.any()
+
+
+@st.composite
+def sgd_groups(draw):
+    """A config, K, and 1-12 models: (features, labels, sample weights or None, seed) each.
+
+    Feature scales up to 1e300 make some models diverge, in a batch or in an
+    epoch-loss pass; some sample weights are zero, so some batches weigh nothing.
+    """
+    cfg = ClassifierConfig(learning_rate=draw(st.sampled_from([0.1, 1.0, 10.0])),
+                           epochs=draw(st.integers(1, 4)), patience=draw(st.integers(1, 3)),
+                           batch_size=draw(st.integers(1, 39)),
+                           l2=draw(st.sampled_from([0.0, 1e-3, 0.1])))
+    k = draw(st.integers(2, 10))  # both sides of the K = 8 switch in _row_reduce
+    models = []
+    for _ in range(draw(st.integers(1, 12))):
+        n, v = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+        scale = draw(st.sampled_from([1.0, 1e3, 1e150, 1e300]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = sp.csr_array(rng.random((n, v)) * (rng.random((n, v)) < 0.5) * scale)
+        sw = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.7)
+        sw[rng.integers(n)] = 1.0
+        models.append((x, rng.integers(k, size=n), draw(st.sampled_from([sw, None])),
+                       draw(st.integers(0, 2**31 - 1))))
+    return cfg, k, models
+
+
+class TestAgainstReference:
+    """Each model of a group equals the textbook loop ``reference.ref_train`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sgd_groups())
+    def test_train_group_equals_ref_train(self, case):
+        cfg, k, models = case
+        xs, ys, sws, seeds = map(list, zip(*models))
+        group = train_group(xs, ys, sws, cfg, seeds, num_classes=k)
+        for (x, y, sw, seed), got in zip(models, group):
+            want = ref_train(x, y, sw, replace(cfg, seed=seed), num_classes=k)
+            if isinstance(want, Exception):
+                assert isinstance(got, RuntimeError) and str(got) == str(want)
+            else:
+                assert isinstance(got, Model)
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.bias.tobytes() == want.bias.tobytes()
+                assert got.training_log == want.training_log
 
 
 class TestStack:
@@ -512,6 +598,11 @@ class TestPredictProba:
         m = Model(weights=rng.normal(size=(8, 5)), bias=rng.normal(size=5))
         p = predict_proba(m, rng.normal(size=(1000, 8)))
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_feature_width_must_match_the_model(self):
+        m = Model(weights=np.zeros((3, 2)), bias=np.zeros(2))
+        with pytest.raises(ValueError, match="feature width does not match model"):
+            predict_proba(m, np.ones((5, 4)))
 
 
 class TestInputsAreLeftAlone:

@@ -75,6 +75,8 @@ class TestGenerate:
             SynthConfig(coverage_target=0.0)
         with pytest.raises(ValueError):
             SynthConfig(misallocated_lfs=[(99, 0)])
+        with pytest.raises(ValueError, match="misallocated class 2 out of range"):
+            SynthConfig(misallocated_lfs=[(0, 2)])
         with pytest.raises(ValueError, match="lf_precision must lie in"):
             SynthConfig(lf_precision=float("nan"))
         with pytest.raises(ValueError, match="lf_precision must lie in"):

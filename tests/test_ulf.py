@@ -91,6 +91,11 @@ class TestCalibrate:
 
 
 class TestRefineT:
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_p_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            refine_t(np.eye(2), np.eye(2), p)
+
     def test_p_zero_is_identity(self):
         t = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = refine_t(t, np.array([[7.5, 2.5], [1.0, 3.0]]), 0.0)

@@ -5,20 +5,24 @@
 #
 # With each checkout's src/ on PYTHONPATH, in a fresh directory per checkout,
 # the script synthesizes a 600-document dataset with 200-document dev and test
-# splits, then runs the CLI with `--repeats 2 --dump_folds true`: baseline,
-# ulf (--iters 3), ulf (--iters 3 --l2 0.001 --batch_size 7), ulf on random
-# plans that admit unmatched samples to training, with fold models stopping at
-# different epochs, 3 to 20, inside each fold group (--strategy rndm
-# --lambda_rate 2 --patience 2 --lr 8 --iters 2), wscw, wscl by signature and
-# by LF, wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3,
-# and a wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
+# splits, and a 300-document dataset with LFs 0 and 3 rewired
+# (--misallocated_lfs 0:1,3:0) in its own directory.  It then runs the CLI with
+# `--repeats 2 --dump_folds true`: baseline, ulf (--iters 3), ulf (--iters 3
+# --l2 0.001 --batch_size 7), ulf on random plans that admit unmatched samples
+# to training, with fold models stopping at different epochs, 3 to 20, inside
+# each fold group (--strategy rndm --lambda_rate 2 --patience 2 --lr 8
+# --iters 2), wscw, wscw with ulf settings it does not read (--p 0.3 --iters 2),
+# so their record in config.txt is compared too, wscl by signature and by LF,
+# wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a
+# wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
 # recorded fold failure is compared too.  One more ulf run (--iters 2) has no
 # held-out split and is scored on training gold, so the null-dev form of
-# metrics.json is compared too.  The `stats` verb's output is written
-# into the directory twice, with gold and `--stats_repeats 3` and without gold,
-# so its report is compared too.  It then compares the two directories
-# with `diff -r`, ignoring timing.json, the one file that holds wall-clock times.  Exit status: 0 when they are identical,
-# 1 on any difference (the directories are kept for inspection), 2 on bad use.
+# metrics.json is compared too.  The `stats` verb's output is written into the
+# directory three times: with gold and `--stats_repeats 3`, without gold, and
+# for the rewired dataset.  It then compares the two directories with
+# `diff -r`, ignoring timing.json, the one file that holds wall-clock times.
+# Exit status: 0 when they are identical, 1 on any difference (the directories
+# are kept for inspection), 2 on bad use.
 set -euo pipefail
 
 if [ $# -ne 2 ] || [ ! -d "$1/src/wsdenoise" ] || [ ! -d "$2/src/wsdenoise" ]; then
@@ -38,6 +42,7 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd synth --n_samples 600 --seed 11 --out_dir data
     wsd synth --n_samples 200 --seed 12 --out_dir dev
     wsd synth --n_samples 200 --seed 13 --out_dir test
+    wsd synth --n_samples 300 --seed 14 --misallocated_lfs 0:1,3:0 --out_dir misallocated
     local train=(--doc_path data/docs.tsv --z_path data/z.tsv --t_path data/t.tsv)
     local io=("${train[@]}" --gold_path data/gold.tsv
               --dev_doc_path dev/docs.tsv --dev_gold_path dev/gold.tsv
@@ -46,12 +51,15 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     mkdir -p stats
     cli stats "${train[@]}" --gold_path data/gold.tsv --stats_repeats 3 > stats/with_gold.json
     cli stats "${train[@]}" > stats/without_gold.json
+    cli stats --doc_path misallocated/docs.tsv --z_path misallocated/z.tsv \
+        --t_path misallocated/t.tsv --gold_path misallocated/gold.tsv > stats/misallocated.json
     wsd baseline "${io[@]}" --out_dir runs/baseline
     wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
     wsd ulf "${io[@]}" --strategy rndm --lambda_rate 2 --patience 2 --lr 8 --iters 2 \
         --out_dir runs/ulf_rndm
     wsd wscw "${io[@]}" --out_dir runs/wscw
+    wsd wscw "${io[@]}" --p 0.3 --iters 2 --out_dir runs/wscw_unread
     wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
     wsd wscl "${io[@]}" --lambda_rate 1 --out_dir runs/wscl_lambda
