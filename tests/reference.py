@@ -4,12 +4,18 @@
 docstring describes, written with public scipy and numpy operations: no
 stacking, no fold groups, no bulk overflow check.  ``linear.train_group``
 must fit every model of a group bit for bit as ``ref_train`` fits it alone.
+
+``ref_generate`` is ``synth.generate`` with the per-word loop it had before
+its words were drawn in blocks: two scalar draws per word, document by
+document.  ``generate`` must build the same dataset byte for byte.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from wsdenoise.corpus import LabelVector, WeakDataset
 from wsdenoise.linear import ClassifierConfig, Model
+from wsdenoise.synth import SynthConfig
 
 
 def _loss(x, w, b, y, sw, l2):
@@ -64,3 +70,63 @@ def ref_train(features, labels, sample_weights, cfg: ClassifierConfig, *, num_cl
                 if bad_epochs >= cfg.patience:
                     break
     return Model(*best, training_log=log)
+
+
+def ref_generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
+    """``generate`` with its per-word loop: two scalar draws per word, in document order."""
+    rng = np.random.default_rng(cfg.seed)
+    n, k, l = cfg.n_samples, cfg.n_classes, cfg.n_lfs
+    prec = cfg.lf_precision
+
+    gold = rng.integers(k, size=n)
+    true_class = np.arange(l) % k
+
+    # per-LF marginal fire rate needed to hit the coverage target under
+    # independence: (1 - r)^L = 1 - coverage
+    r = 1.0 - (1.0 - cfg.coverage_target) ** (1.0 / l)
+    q_hit = prec * r * k
+    q_bg = (1.0 - prec) * r * k / (k - 1)
+    if q_hit > 1.0 or q_bg > 1.0:
+        raise ValueError(
+            "infeasible coverage/precision combination: required trigger rates "
+            f"q_hit={q_hit:.3f}, q_bg={q_bg:.3f} exceed 1"
+        )
+
+    own = true_class[None, :] == gold[:, None]           # (N, L)
+    fire_p = np.where(own, q_hit, q_bg)
+    fires = rng.random((n, l)) < fire_p
+    z = sp.csr_array(fires.astype(np.int8))
+
+    assigned = true_class.copy()
+    for lf, wrong in cfg.misallocated_lfs:
+        assigned[lf] = wrong
+    t = np.zeros((l, k))
+    t[np.arange(l), assigned] = 1.0
+
+    # word pools: one cluster per class plus a shared pool
+    shared_size = max(1, cfg.vocab_size // (k + 1))
+    cluster_size = max(1, (cfg.vocab_size - shared_size) // k)
+    shared = [f"common{m}" for m in range(shared_size)]
+    clusters = [[f"w{c}x{m}" for m in range(cluster_size)] for c in range(k)]
+    triggers = [f"lftrig{j}" for j in range(l)]
+
+    texts = []
+    for i in range(n):
+        words = [triggers[j] for j in np.flatnonzero(fires[i])]
+        cluster = clusters[gold[i]]
+        for _ in range(cfg.words_per_doc):
+            if rng.random() < 0.8:
+                words.append(cluster[rng.integers(len(cluster))])
+            else:
+                words.append(shared[rng.integers(len(shared))])
+        texts.append(" ".join(words))
+
+    ds = WeakDataset(
+        texts=texts,
+        ids=[str(i) for i in range(n)],
+        z=z,
+        t=t,
+        num_classes=k,
+        gold=gold.astype(np.int64),
+    )
+    return ds, LabelVector(gold.astype(np.int64))

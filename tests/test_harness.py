@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import types
 import weakref
 from dataclasses import replace
@@ -719,6 +721,17 @@ class TestCli:
     def test_none_rejected_for_synth_field(self, tmp_path):
         with pytest.raises(ValueError, match="--n_samples.*'none'"):
             cli.main(["synth", "--n_samples", "none", "--out_dir", str(tmp_path)])
+
+    def test_synth_with_negative_words_per_doc_exits_non_zero_and_writes_nothing(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "wsdenoise.cli", "synth",
+                               "--words_per_doc", "-1", "--out_dir", "data"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "words_per_doc must be >= 0" in proc.stderr
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("raw, budget", [("none", None), ("", None), ("1", 1)])
     def test_budget_none_means_no_limit(self, monkeypatch, raw, budget):

@@ -83,6 +83,12 @@ class TestGenerate:
             SynthConfig(lf_precision=0.0)
         with pytest.raises(TypeError):  # one precision for every LF; a list is rejected
             SynthConfig(lf_precision=[0.9, 0.9])
+        for words_per_doc in (-1, -3):
+            with pytest.raises(ValueError, match="words_per_doc must be >= 0"):
+                SynthConfig(words_per_doc=words_per_doc)
+        for vocab_size in (0, -10):
+            with pytest.raises(ValueError, match="vocab_size must be >= 1"):
+                SynthConfig(vocab_size=vocab_size)
 
     def test_round_trips_through_files(self, tmp_path):
         ds, gold = generate(SynthConfig(n_samples=120, seed=10))

@@ -6,7 +6,11 @@
 # With each checkout's src/ on PYTHONPATH, in a fresh directory per checkout,
 # the script synthesizes a 600-document dataset with 200-document dev and test
 # splits, and a 300-document dataset with LFs 0 and 3 rewired
-# (--misallocated_lfs 0:1,3:0) in its own directory.  It then runs the CLI with
+# (--misallocated_lfs 0:1,3:0) in its own directory, and two datasets that
+# take both of synth's word-draw paths: 301 documents over one-word pools
+# (--vocab_size 4 --words_per_doc 5), whose words the scalar calls draw, and
+# 150 documents of 300 words over 2000 terms with K=4, whose words span
+# several blocks of the block draw.  It then runs the CLI with
 # `--repeats 2 --dump_folds true`: baseline, ulf (--iters 3), ulf (--iters 3
 # --l2 0.001 --batch_size 7), ulf on random plans that admit unmatched samples
 # to training, with fold models stopping at different epochs, 3 to 20, inside
@@ -18,9 +22,10 @@
 # recorded fold failure is compared too.  One more ulf run (--iters 2) has no
 # held-out split and is scored on training gold, so the null-dev form of
 # metrics.json is compared too.  The `stats` verb's output is written into the
-# directory three times: with gold and `--stats_repeats 3`, without gold, and
-# for the rewired dataset.  It then compares the two directories with
-# `diff -r`, ignoring timing.json, the one file that holds wall-clock times.
+# directory five times: with gold and `--stats_repeats 3`, without gold, and
+# for the rewired and the two word-draw datasets.  It then compares the two
+# directories with `diff -r`, ignoring timing.json, the one file that holds
+# wall-clock times.
 # Exit status: 0 when they are identical, 1 on any difference (the directories
 # are kept for inspection), 2 on bad use.
 set -euo pipefail
@@ -43,6 +48,9 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd synth --n_samples 200 --seed 12 --out_dir dev
     wsd synth --n_samples 200 --seed 13 --out_dir test
     wsd synth --n_samples 300 --seed 14 --misallocated_lfs 0:1,3:0 --out_dir misallocated
+    wsd synth --n_samples 301 --seed 15 --vocab_size 4 --words_per_doc 5 --out_dir one_word_pools
+    wsd synth --n_samples 150 --seed 16 --n_classes 4 --vocab_size 2000 --words_per_doc 300 \
+        --out_dir blocks
     local train=(--doc_path data/docs.tsv --z_path data/z.tsv --t_path data/t.tsv)
     local io=("${train[@]}" --gold_path data/gold.tsv
               --dev_doc_path dev/docs.tsv --dev_gold_path dev/gold.tsv
@@ -51,8 +59,11 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     mkdir -p stats
     cli stats "${train[@]}" --gold_path data/gold.tsv --stats_repeats 3 > stats/with_gold.json
     cli stats "${train[@]}" > stats/without_gold.json
-    cli stats --doc_path misallocated/docs.tsv --z_path misallocated/z.tsv \
-        --t_path misallocated/t.tsv --gold_path misallocated/gold.tsv > stats/misallocated.json
+    local name
+    for name in misallocated one_word_pools blocks; do
+        cli stats --doc_path $name/docs.tsv --z_path $name/z.tsv --t_path $name/t.tsv \
+            --gold_path $name/gold.tsv > stats/$name.json
+    done
     wsd baseline "${io[@]}" --out_dir runs/baseline
     wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
