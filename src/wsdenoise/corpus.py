@@ -186,7 +186,10 @@ def _write_lines(path, lines) -> None:
 
 
 def read_documents(doc_path):
-    """Read ``id<TAB>text`` lines; returns ``(ids, texts, {id: dense index})``."""
+    """Read ``id<TAB>text`` lines; returns ``(ids, texts, {id: dense index})``.
+
+    A file with no documents is rejected: no split can be trained or scored on it.
+    """
     ids, texts = [], []
     seen = {}
     for lineno, line in enumerate(_read_lines(doc_path), 1):
@@ -200,6 +203,8 @@ def read_documents(doc_path):
         seen[sid] = len(ids)
         ids.append(sid)
         texts.append(text)
+    if not ids:
+        raise ValueError(f"{doc_path}: no documents")
     return ids, texts, seen
 
 

@@ -188,8 +188,7 @@ def _fold_probs(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
 
 def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
                  feat_cfg: FeaturizeConfig | None = None,
-                 clf_cfg: ClassifierConfig | None = None,
-                 fold_predict=None) -> OOSProbs:
+                 clf_cfg: ClassifierConfig | None = None) -> OOSProbs:
     """Train one model per fold and collect out-of-sample probabilities.
 
     For each fold the vocabulary is refitted on the training documents only
@@ -198,17 +197,14 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     tested by several folds get the arithmetic mean of their probability rows.
 
     The folds run group by group (``_fold_probs``); a failure is raised as
-    ``fold f: ...`` for the lowest failing fold, as running them one by one would.
-
-    ``fold_predict(ds, train_idx, label_array, test_idx) -> (n_test, K)``
-    replaces the default TF-IDF + logistic-regression fold model; used by
-    tests and audits.
+    ``fold f: ...`` for the lowest failing fold, and the result is bitwise the
+    one of running the folds one by one, as ``ref_estimate_oos`` in
+    ``tests/reference.py`` does.
     """
     feat_cfg = feat_cfg or FeaturizeConfig()
     clf_cfg = clf_cfg or ClassifierConfig()
     y = as_labels(labels)
-    probs = (_fold_probs(ds, y, plan, feat_cfg, clf_cfg) if fold_predict is None
-             else (fold_predict(ds, tr, y, te) for tr, te in plan.folds))
+    probs = _fold_probs(ds, y, plan, feat_cfg, clf_cfg)
     acc = np.zeros((ds.n_samples, ds.num_classes))
     cnt = np.zeros(ds.n_samples, dtype=np.int64)
     for fi, (_, te) in enumerate(plan.folds):

@@ -93,8 +93,7 @@ def evidence_memo():
 
 def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
                  lambda_rate: float, plan_seed: int, clf: ClassifierConfig, clf_seed: int,
-                 feat: FeaturizeConfig, fold_predict=None,
-                 ) -> tuple[FoldPlan, OOSProbs, np.ndarray, np.ndarray]:
+                 feat: FeaturizeConfig) -> tuple[FoldPlan, OOSProbs, np.ndarray, np.ndarray]:
     """Plan folds, estimate out-of-sample probabilities, and read confident labels off them.
 
     The plan is seeded by ``plan_seed``; fold models train with ``clf`` under
@@ -109,19 +108,18 @@ def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
     folds; the plan, thresholds and confident labels are recomputed.  A
     miss estimates as usual and replaces the entry, so the memo holds at
     most one labels copy and one ``OOSProbs``, about N x (K + 2) x 8 bytes,
-    per stage key.  Cached arrays are read-only.  Calls with a
-    ``fold_predict`` never use the memo.
+    per stage key.  Cached arrays are read-only.
     """
     plan = build_plan(ds, strategy, k, lambda_rate, plan_seed)
     clf = replace(clf, seed=clf_seed)
-    memo = _MEMO.get() if fold_predict is None else None
+    memo = _MEMO.get()
     y = as_labels(labels)
     key = (strategy, k, lambda_rate, plan_seed, astuple(clf), astuple(feat))
     entry = memo.get(key) if memo is not None else None
     if entry is not None and entry[0] is ds and np.array_equal(entry[1], y):
         probs = entry[2]
     else:
-        probs = estimate_oos(ds, labels, plan, feat, clf, fold_predict)
+        probs = estimate_oos(ds, labels, plan, feat, clf)
         if memo is not None:
             y = y.copy()
             for a in (y, probs.probs, probs.prediction_count):

@@ -100,7 +100,7 @@ def _vote_seed(master: int, iteration: int) -> int:
     return master if iteration <= 1 else derive_seed(master, 100, iteration)
 
 
-def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: bool = True) -> DenoiseResult:
+def run_ulf(ds: WeakDataset, cfg: UlfConfig, train_final: bool = True) -> DenoiseResult:
     """Run the full refinement loop and train a classifier on the final labels."""
     unmatched = ~ds.matched_mask
     t_hat = np.asarray(ds.t, dtype=float).copy()
@@ -118,7 +118,7 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, fold_predict=None, train_final: boo
             plan, probs, th, conf = oos_evidence(
                 ds, train_labels, cfg.strategy, cfg.k, cfg.lambda_rate,
                 derive_seed(cfg.seed, 200, it), cfg.clf, derive_seed(cfg.seed, 300, it),
-                cfg.feat, fold_predict)
+                cfg.feat)
             counts = lf_confident_matrix(ds, conf)
             q = calibrate(counts, ds)
             t_hat = refine_t(t_hat, q, cfg.p)

@@ -107,8 +107,8 @@ def prune(q: np.ndarray, probs: np.ndarray, noisy) -> PruneMask:
     return PruneMask(~pruned, pruned_counts, shortfall)
 
 
-def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
-             train_final: bool = True, noisy=None) -> DenoiseResult:
+def run_wscl(ds: WeakDataset, cfg: WsclConfig, train_final: bool = True,
+             noisy=None) -> DenoiseResult:
     """One plan -> probabilities -> confident joint -> prune -> train on kept.
 
     ``noisy`` overrides the majority-vote weak labels.
@@ -117,7 +117,7 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, fold_predict=None,
         noisy = majority_vote(ds, ds.t, cfg.seed)
     plan, probs, _, conf = oos_evidence(
         ds, noisy, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600),
-        cfg.clf, derive_seed(cfg.seed, 700), cfg.feat, fold_predict)
+        cfg.clf, derive_seed(cfg.seed, 700), cfg.feat)
     joint = class_confident_joint(noisy, conf, ds.num_classes)
     q = calibrate_joint(joint, noisy)
     mask = prune(q, probs.probs, noisy)

@@ -44,8 +44,8 @@ class SampleWeights:
     flags: np.ndarray   # per-sample count of disagreeing partitions
 
 
-def run_wscw(ds: WeakDataset, cfg: WscwConfig, fold_predict=None,
-             train_final: bool = True, collect_audit=None, noisy=None):
+def run_wscw(ds: WeakDataset, cfg: WscwConfig, train_final: bool = True,
+             collect_audit=None, noisy=None):
     """Flag disagreeing samples over repeated partitions, then train downweighted.
 
     Disagreement is judged on hard labels after multi-fold probability
@@ -62,7 +62,7 @@ def run_wscw(ds: WeakDataset, cfg: WscwConfig, fold_predict=None,
     for part in range(cfg.partitions):
         plan, probs, _, _ = oos_evidence(
             ds, noisy, "by_lf", cfg.k, 0.0, derive_seed(cfg.seed, 400, part),
-            cfg.clf, derive_seed(cfg.seed, 500, part), cfg.feat, fold_predict)
+            cfg.clf, derive_seed(cfg.seed, 500, part), cfg.feat)
         pred = np.argmax(probs.probs, axis=1)
         flags += ((pred != noisy.labels) & matched).astype(np.int64)
         if collect_audit is not None:

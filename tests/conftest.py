@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wsdenoise import crossval
 from wsdenoise.corpus import WeakDataset
 
 
@@ -45,6 +46,31 @@ def echo_stub(ds, train_idx, labels, test_idx):
     p = np.zeros((len(test_idx), ds.num_classes))
     p[np.arange(len(test_idx)), labels[test_idx]] = 1.0
     return p
+
+
+def gold_stub(ds, train_idx, labels, test_idx):
+    """Fold model stub: a faithful model, one-hot on the gold class."""
+    return echo_stub(ds, train_idx, ds.gold, test_idx)
+
+
+def broken_stub(ds, train_idx, labels, test_idx):
+    """Fold model stub: every fold fails."""
+    raise ValueError("boom")
+
+
+@pytest.fixture
+def fold_model(monkeypatch):
+    """``fold_model(stub)`` replaces the fold model for the rest of the test.
+
+    Fold f then predicts ``stub(ds, train_idx, labels, test_idx)`` for its
+    train and test indices, in place of TF-IDF + logistic regression.  The
+    folds still run lazily in order, so ``estimate_oos`` annotates, orders
+    and checks them as it does the real ones.
+    """
+    def install(stub):
+        monkeypatch.setattr(crossval, "_fold_probs", lambda ds, y, plan, *_: (
+            stub(ds, tr, y, te) for tr, te in plan.folds))
+    return install
 
 
 @pytest.fixture

@@ -5,16 +5,26 @@ docstring describes, written with public scipy and numpy operations: no
 stacking, no fold groups, no bulk overflow check.  ``linear.train_group``
 must fit every model of a group bit for bit as ``ref_train`` fits it alone.
 
+``ref_estimate_oos`` is the k-fold estimate run fold by fold: one vocabulary,
+one ``ref_train`` fit and one prediction per fold, then a per-sample mean.
+``crossval.estimate_oos``, which trains its folds in groups, must return the
+same probabilities bit for bit.
+
 ``ref_generate`` is ``synth.generate`` with the per-word loop it had before
 its words were drawn in blocks: two scalar draws per word, document by
 document.  ``generate`` must build the same dataset byte for byte.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import scipy.sparse as sp
 
-from wsdenoise.corpus import LabelVector, WeakDataset
-from wsdenoise.linear import ClassifierConfig, Model
+from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
+from wsdenoise.crossval import FoldPlan, OOSProbs
+from wsdenoise.featurize import FeaturizeConfig, fit_rows, transform_rows
+from wsdenoise.linear import ClassifierConfig, Model, predict_proba
+from wsdenoise.seeding import derive_seed
 from wsdenoise.synth import SynthConfig
 
 
@@ -70,6 +80,32 @@ def ref_train(features, labels, sample_weights, cfg: ClassifierConfig, *, num_cl
                 if bad_epochs >= cfg.patience:
                     break
     return Model(*best, training_log=log)
+
+
+def ref_estimate_oos(ds: WeakDataset, labels, plan: FoldPlan, feat: FeaturizeConfig,
+                     clf: ClassifierConfig) -> OOSProbs:
+    """Out-of-sample probabilities, one fold after another; the first failing fold raises.
+
+    Fold f fits a vocabulary on its train rows, trains ``ref_train`` on their
+    TF-IDF rows with seed ``derive_seed(clf.seed, f)``, and predicts its test
+    rows.  A sample tested by several folds gets the mean of their rows.
+    """
+    y = as_labels(labels)
+    acc = np.zeros((ds.n_samples, ds.num_classes))
+    cnt = np.zeros(ds.n_samples, dtype=np.int64)
+    for f, (tr, te) in enumerate(plan.folds):
+        try:
+            vocab, columns, x = fit_rows(ds.term_counts, tr, feat)
+            model = ref_train(sp.vstack(list(x.blocks)), y[tr], None,
+                              replace(clf, seed=derive_seed(clf.seed, f)),
+                              num_classes=ds.num_classes)
+            if isinstance(model, Exception):
+                raise model
+            acc[te] += predict_proba(model, transform_rows(ds.term_counts, te, vocab, columns))
+        except Exception as exc:
+            raise RuntimeError(f"fold {f}: {exc}") from exc
+        cnt[te] += 1
+    return OOSProbs(acc / cnt[:, None], cnt)
 
 
 def ref_generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:

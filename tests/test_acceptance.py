@@ -29,18 +29,12 @@ from wsdenoise.wscl import WsclConfig, class_confident_joint, run_wscl
 from wsdenoise.wscw import WscwConfig, run_wscw
 from wsdenoise.linear import ClassifierConfig
 
-from conftest import random_instance, uniform_stub
+from conftest import gold_stub, random_instance, uniform_stub
 
 
 def _report(num: int, name: str, ok: bool) -> None:
     print(f"\nacceptance {num} [{name}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance check {num} ({name}) failed"
-
-
-def _gold_oracle(ds_, tr, y, te):
-    p = np.zeros((len(te), ds_.num_classes))
-    p[np.arange(len(te)), ds_.gold[te]] = 1.0
-    return p
 
 
 class TestAcceptance:
@@ -157,7 +151,8 @@ class TestAcceptance:
         ok &= (time.monotonic() - start) < 10.0
         _report(3, "analytic gradient vs central differences", ok)
 
-    def test_04_fold_plan_properties(self):
+    def test_04_fold_plan_properties(self, fold_model):
+        fold_model(uniform_stub)
         rng = np.random.default_rng(104)
         ok = True
         done = 0
@@ -182,8 +177,7 @@ class TestAcceptance:
                 held = sorted(held)
                 for i in tr:
                     ok &= not zd[i, held].any()
-            probs = estimate_oos(ds, majority_vote(ds, ds.t, seed), plan,
-                                 fold_predict=uniform_stub)
+            probs = estimate_oos(ds, majority_vote(ds, ds.t, seed), plan)
             ok &= (probs.prediction_count >= 1).all()
 
             # by-signature: test folds partition matched samples, and every
@@ -197,8 +191,7 @@ class TestAcceptance:
                     if ds.matched_mask[i]:
                         ok &= sigs[i] in held
             ok &= (seen == 1).all()
-            probs = estimate_oos(ds, majority_vote(ds, ds.t, seed), plan,
-                                 fold_predict=uniform_stub)
+            probs = estimate_oos(ds, majority_vote(ds, ds.t, seed), plan)
             ok &= (probs.prediction_count >= 1).all()
         _report(4, "fold-plan structural properties", ok)
 
@@ -237,7 +230,8 @@ class TestAcceptance:
             ok &= (res.refined_t == ds.t).all()
         _report(6, "p=0, lambda=0, single-pass identity", ok)
 
-    def test_07_downweighting_and_pruning_sanity(self):
+    def test_07_downweighting_and_pruning_sanity(self, fold_model):
+        fold_model(gold_stub)
         rate = 0.20
         wscw_hits = wscl_hits = 0
         for seed in range(10):
@@ -248,15 +242,12 @@ class TestAcceptance:
             noisy = LabelVector(flipped)
 
             weights, _ = run_wscw(ds, WscwConfig(k=4, partitions=2, seed=seed),
-                                  fold_predict=_gold_oracle, train_final=False,
-                                  noisy=noisy)
+                                  train_final=False, noisy=noisy)
             flagged = (weights.flags > 0) & ds.matched_mask
             if flagged.any() and flip_mask[flagged].mean() >= 2 * rate:
                 wscw_hits += 1
 
-            res = run_wscl(ds, WsclConfig(k=4, seed=seed),
-                           fold_predict=_gold_oracle, train_final=False,
-                           noisy=noisy)
+            res = run_wscl(ds, WsclConfig(k=4, seed=seed), train_final=False, noisy=noisy)
             pruned = ~res.keep_mask
             if pruned.any() and flip_mask[pruned].mean() >= 2 * rate:
                 wscl_hits += 1
@@ -267,13 +258,10 @@ class TestAcceptance:
             ds, _ = generate(SynthConfig(n_samples=600, seed=100 + seed,
                                          lf_precision=1.0, coverage_target=0.95))
             clean = LabelVector(ds.gold.copy())
-            res = run_wscl(ds, WsclConfig(k=4, seed=seed),
-                           fold_predict=_gold_oracle, train_final=False,
-                           noisy=clean)
+            res = run_wscl(ds, WsclConfig(k=4, seed=seed), train_final=False, noisy=clean)
             ok &= (~res.keep_mask).mean() <= 0.02
             weights, _ = run_wscw(ds, WscwConfig(k=4, partitions=2, seed=seed),
-                                  fold_predict=_gold_oracle, train_final=False,
-                                  noisy=clean)
+                                  train_final=False, noisy=clean)
             ok &= (weights.w == 1.0).mean() >= 0.95
         _report(7, "flip detection and clean-data restraint", ok)
 

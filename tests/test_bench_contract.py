@@ -75,7 +75,8 @@ def test_transform_binds_texts():
     assert span["rows"] == 2
 
 
-def test_methods_accept_train_final_false_and_annotate():
+def test_methods_accept_train_final_false_and_annotate(fold_model):
+    fold_model(echo_stub)
     ds, _ = generate(SynthConfig(n_samples=120, seed=5, coverage_target=0.8))
     calls = [
         ("ulf.run_ulf", ulf.run_ulf, ulf.UlfConfig(k=3, max_iters=2, seed=5), "iterations"),
@@ -84,7 +85,7 @@ def test_methods_accept_train_final_false_and_annotate():
          "flagged"),
     ]
     for name, fn, cfg, field in calls:
-        bound = inspect.signature(fn).bind(ds, cfg, fold_predict=echo_stub, train_final=False)
+        bound = inspect.signature(fn).bind(ds, cfg, train_final=False)
         result = fn(*bound.args, **bound.kwargs)
         span = {"name": name}
         spans._annotate(span, bound.arguments, result)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,7 +19,8 @@ from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig, train_group
 from wsdenoise.synth import SynthConfig, generate
 
-from conftest import make_dataset, random_instance, uniform_stub
+from conftest import broken_stub, make_dataset, random_instance, uniform_stub
+from reference import ref_estimate_oos
 
 
 def noisy_labels(ds, seed=0):
@@ -251,14 +252,15 @@ class TestPlanProperties:
 
 
 class TestEstimateOos:
-    def test_uniform_stub(self):
+    def test_uniform_stub(self, fold_model):
+        fold_model(uniform_stub)
         ds = make_dataset(np.eye(6), np.tile(np.eye(2), (3, 1)))
         plan = plan_random(ds, k=2, seed=0)
-        oos = estimate_oos(ds, noisy_labels(ds), plan, fold_predict=uniform_stub)
+        oos = estimate_oos(ds, noisy_labels(ds), plan)
         np.testing.assert_allclose(oos.probs, 0.5)
         assert (oos.prediction_count >= 1).all()
 
-    def test_multi_fold_rows_are_averaged(self):
+    def test_multi_fold_rows_are_averaged(self, fold_model):
         z = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]])
         ds = make_dataset(z, np.eye(2))
         plan = plan_by_lf(ds, k=2, seed=0)
@@ -271,7 +273,8 @@ class TestEstimateOos:
             calls["n"] += 1
             return p
 
-        oos = estimate_oos(ds, noisy_labels(ds), plan, fold_predict=alternating)
+        fold_model(alternating)
+        oos = estimate_oos(ds, noisy_labels(ds), plan)
         assert oos.prediction_count[2] == 2
         np.testing.assert_allclose(oos.probs[2], [0.5, 0.5])
 
@@ -296,22 +299,56 @@ class TestEstimateOos:
         b = estimate_oos(ds, labels, plan, clf_cfg=cfg)
         assert (a.probs == b.probs).all()
 
-    def test_fold_errors_are_annotated(self):
+    def test_fold_errors_are_annotated(self, fold_model):
+        fold_model(broken_stub)
         ds = make_dataset(np.eye(4), np.tile(np.eye(2), (2, 1)))
         plan = plan_random(ds, k=2, seed=0)
+        with pytest.raises(RuntimeError, match="fold 0: boom"):
+            estimate_oos(ds, noisy_labels(ds), plan)
 
-        def broken(ds_, tr, y, te):
-            raise ValueError("boom")
-
-        with pytest.raises(RuntimeError, match="fold 0"):
-            estimate_oos(ds, noisy_labels(ds), plan, fold_predict=broken)
-
-    def test_a_sample_no_fold_tests_is_an_error(self):
+    def test_a_sample_no_fold_tests_is_an_error(self, fold_model):
+        fold_model(uniform_stub)
         # a hand-built plan whose two folds test samples 0 and 2 only
         ds = make_dataset(np.eye(4), np.tile(np.eye(2), (2, 1)))
         plan = FoldPlan([(np.array([1, 2]), np.array([0])), (np.array([0, 3]), np.array([2]))])
         with pytest.raises(RuntimeError, match="sample 1 was not tested by any fold"):
-            estimate_oos(ds, noisy_labels(ds), plan, fold_predict=uniform_stub)
+            estimate_oos(ds, noisy_labels(ds), plan)
+
+
+class TestAgainstReference:
+    """``estimate_oos`` equals ``reference.ref_estimate_oos``, the fold-by-fold loop, bit for bit."""
+
+    @pytest.mark.parametrize("lambda_rate", [0.0, 0.5])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(20, 150), num_classes=st.integers(2, 3), k=st.integers(2, 4),
+           words=st.integers(0, 30), min_df=st.integers(1, 3),
+           epochs=st.integers(1, 4), batch_size=st.sampled_from([1, 7, 32]),
+           lr=st.sampled_from([0.05, 0.5, 50.0]), l2=st.sampled_from([0.0, 1e-3, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_estimate_oos_equals_the_fold_by_fold_loop(self, strategy, lambda_rate, n,
+                                                       num_classes, k, words, min_df, epochs,
+                                                       batch_size, lr, l2, seed):
+        ds, _ = generate(SynthConfig(n_samples=n, n_classes=num_classes, n_lfs=6,
+                                     words_per_doc=words, seed=seed))
+        try:
+            plan = build_plan(ds, strategy, k, lambda_rate, seed)
+        except ValueError:
+            reject()
+        labels = noisy_labels(ds, seed)
+        feat = FeaturizeConfig(min_df=min_df)
+        clf = ClassifierConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, l2=l2,
+                               seed=seed)
+        try:
+            want = ref_estimate_oos(ds, labels, plan, feat, clf)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError) as info:
+                estimate_oos(ds, labels, plan, feat, clf)
+            assert str(info.value) == str(exc)
+            return
+        got = estimate_oos(ds, labels, plan, feat, clf)
+        assert got.probs.tobytes() == want.probs.tobytes()
+        assert got.prediction_count.tobytes() == want.prediction_count.tobytes()
 
 
 class TestFoldErrorOrder:

@@ -14,8 +14,6 @@ from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import evidence_memo, oos_evidence
 from wsdenoise.synth import SynthConfig, generate
 
-from conftest import uniform_stub
-
 
 def _grid_setup(tmp_path, method):
     ds, _ = generate(SynthConfig(n_samples=200, seed=30, coverage_target=0.85,
@@ -138,15 +136,3 @@ def test_no_memo_outlives_the_sweep(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         grid_search(base, {"p": [0.5]}, ds=ds)
     assert pipeline._MEMO.get() is None
-
-
-def test_fold_predict_bypasses_the_memo(monkeypatch):
-    calls = _count_estimates(monkeypatch)
-    ds, _ = generate(SynthConfig(n_samples=120, seed=8, coverage_target=0.85))
-    args = _evidence_args(ds, majority_vote(ds, ds.t, 0))
-    with evidence_memo():
-        for _ in range(2):
-            probs = oos_evidence(*args, fold_predict=uniform_stub)[1]
-            assert probs.probs.flags.writeable
-        assert pipeline._MEMO.get() == {}
-    assert len(calls) == 2

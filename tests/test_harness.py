@@ -313,6 +313,23 @@ class TestRun:
             run(cfg, ds=ds)
         assert _snapshot(out) == before
 
+    def test_empty_training_file_is_rejected_before_the_run_directory_is_touched(
+            self, tmp_path):
+        ds, _ = generate(SynthConfig(n_samples=60, seed=27, coverage_target=0.8))
+        out = tmp_path / "run"
+        run(RunConfig(method="baseline_majority", out_dir=str(out), **self._fast()), ds=ds)
+        before = _snapshot(out)
+        files = {"doc": ("docs.tsv", "\n"), "z": ("z.tsv", "0 2\n"),
+                 "t": ("t.tsv", "2 2\n0\t0\n1\t1\n"), "gold": ("gold.tsv", "")}
+        for name, text in files.values():
+            (tmp_path / name).write_text(text)
+        cfg = RunConfig(method="baseline_majority", out_dir=str(out),
+                        **{f"{key}_path": str(tmp_path / name)
+                           for key, (name, _) in files.items()}, **self._fast())
+        with pytest.raises(ValueError, match=r"docs\.tsv: no documents"):
+            run(cfg)
+        assert _snapshot(out) == before
+
     @pytest.mark.parametrize("method", ["ulf", "wscw", "wscl"])
     def test_fold_audit_covers_every_sample(self, tmp_path, method):
         ds, _ = generate(SynthConfig(n_samples=150, seed=28, coverage_target=0.8))

@@ -20,7 +20,7 @@ from wsdenoise.ulf import (
 )
 from wsdenoise.synth import SynthConfig, generate
 
-from conftest import make_dataset, random_instance, echo_stub
+from conftest import broken_stub, echo_stub, make_dataset, random_instance
 
 
 class TestLfConfidentMatrix:
@@ -181,11 +181,12 @@ class TestUlfConfig:
 
 
 class TestRunUlf:
-    def test_identity_configuration(self):
+    def test_identity_configuration(self, fold_model):
+        fold_model(echo_stub)
         ds, _ = generate(SynthConfig(n_samples=300, seed=6, coverage_target=0.7))
         cfg = UlfConfig(p=0.0, lambda_rate=0.0, max_iters=1, k=4, seed=21,
                         strategy="by_signature")
-        res = run_ulf(ds, cfg, fold_predict=echo_stub, train_final=False)
+        res = run_ulf(ds, cfg, train_final=False)
         baseline = majority_vote(ds, ds.t, 21)
         np.testing.assert_array_equal(res.final_labels.labels, baseline.labels)
         assert (res.refined_t == ds.t).all()
@@ -231,12 +232,9 @@ class TestRunUlf:
         assert res.diagnostics[-1]["label_change_fraction"] == 0.0
         assert res.iterations_run == len(res.diagnostics) < cfg.max_iters
 
-    def test_errors_carry_iteration_index(self):
+    def test_errors_carry_iteration_index(self, fold_model):
+        fold_model(broken_stub)
         ds, _ = generate(SynthConfig(n_samples=100, seed=10, coverage_target=0.8))
-
-        def broken(ds_, tr, y, te):
-            raise ValueError("boom")
-
         cfg = UlfConfig(k=3, max_iters=2, seed=0, strategy="random")
         with pytest.raises(RuntimeError, match="iteration 1"):
-            run_ulf(ds, cfg, fold_predict=broken, train_final=False)
+            run_ulf(ds, cfg, train_final=False)

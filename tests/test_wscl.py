@@ -16,7 +16,7 @@ from wsdenoise.wscl import (
     run_wscl,
 )
 
-from conftest import echo_stub
+from conftest import echo_stub, gold_stub
 
 
 class TestClassConfidentJoint:
@@ -185,27 +185,22 @@ class TestPruneProperties:
 
 
 class TestRunWscl:
-    def test_echo_stub_prunes_nothing(self):
+    def test_echo_stub_prunes_nothing(self, fold_model):
+        fold_model(echo_stub)
         ds, _ = generate(SynthConfig(n_samples=200, seed=11, coverage_target=0.8))
         cfg = WsclConfig(k=4, seed=11)
-        res = run_wscl(ds, cfg, fold_predict=echo_stub, train_final=False)
+        res = run_wscl(ds, cfg, train_final=False)
         assert res.keep_mask.all()
         joint = np.array(res.prune_report["confident_joint"])
         assert not (joint - np.diag(np.diag(joint))).any()
 
-    def test_injected_flips_are_pruned(self):
+    def test_injected_flips_are_pruned(self, fold_model):
+        fold_model(gold_stub)
         ds, _ = generate(SynthConfig(n_samples=600, seed=12, lf_precision=1.0,
                                      coverage_target=0.95))
         flipped, flip_mask = inject_label_noise(ds.gold, 0.15, ds.num_classes, seed=12)
-
-        def oracle_labels(ds_, tr, y, te):
-            p = np.zeros((len(te), ds_.num_classes))
-            p[np.arange(len(te)), ds_.gold[te]] = 1.0
-            return p
-
         cfg = WsclConfig(k=4, seed=12)
-        res = run_wscl(ds, cfg, fold_predict=oracle_labels, train_final=False,
-                       noisy=LabelVector(flipped))
+        res = run_wscl(ds, cfg, train_final=False, noisy=LabelVector(flipped))
         pruned = ~res.keep_mask
         assert pruned.any()
         precision = flip_mask[pruned].mean()

@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from wsdenoise.corpus import majority_vote
+from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import train_text_model
 from wsdenoise.synth import SynthConfig, generate, inject_label_noise
 from wsdenoise.wscw import WscwConfig, run_wscw
 
-from conftest import echo_stub
+from conftest import echo_stub, gold_stub
 
 
 class TestRunWscw:
-    def test_echo_stub_never_flags(self):
+    def test_echo_stub_never_flags(self, fold_model):
+        fold_model(echo_stub)
         ds, _ = generate(SynthConfig(n_samples=200, seed=1, coverage_target=0.8))
         cfg = WscwConfig(k=4, partitions=2, seed=1)
-        weights, _ = run_wscw(ds, cfg, fold_predict=echo_stub, train_final=False)
+        weights, _ = run_wscw(ds, cfg, train_final=False)
         assert (weights.w == 1.0).all()
         assert not weights.flags.any()
 
-    def test_weight_formula(self):
+    def test_weight_formula(self, fold_model):
         ds, _ = generate(SynthConfig(n_samples=200, seed=2, coverage_target=0.8))
         noisy = majority_vote(ds, ds.t, 2)
 
@@ -27,8 +28,9 @@ class TestRunWscw:
             p[np.arange(len(te)), (y[te] + 1) % ds_.num_classes] = 1.0
             return p
 
+        fold_model(contrarian)
         cfg = WscwConfig(k=4, partitions=2, epsilon=0.7, seed=2)
-        weights, _ = run_wscw(ds, cfg, fold_predict=contrarian, train_final=False)
+        weights, _ = run_wscw(ds, cfg, train_final=False)
         matched = ds.matched_mask
         assert np.allclose(weights.w[matched], 0.49)
         assert (weights.flags[matched] == 2).all()
@@ -43,23 +45,14 @@ class TestRunWscw:
         assert (weights.w >= 0.7 ** 2 - 1e-12).all() and (weights.w <= 1.0).all()
         np.testing.assert_allclose(weights.w, 0.7 ** weights.flags.astype(float))
 
-    def test_flag_precision_on_injected_noise(self):
+    def test_flag_precision_on_injected_noise(self, fold_model):
+        fold_model(gold_stub)
         ds, _ = generate(SynthConfig(n_samples=800, seed=4, lf_precision=1.0,
                                      coverage_target=0.95))
         noisy = majority_vote(ds, ds.t, 4)
         flipped, flip_mask = inject_label_noise(ds.gold, 0.10, ds.num_classes, seed=4)
-
-        def oracle_labels(ds_, tr, y, te):
-            # faithful fold model: predicts the gold class
-            p = np.zeros((len(te), ds_.num_classes))
-            p[np.arange(len(te)), ds_.gold[te]] = 1.0
-            return p
-
-        from wsdenoise.corpus import LabelVector
-
         cfg = WscwConfig(k=4, partitions=2, seed=4)
-        weights, _ = run_wscw(ds, cfg, fold_predict=oracle_labels, train_final=False,
-                              noisy=LabelVector(flipped))
+        weights, _ = run_wscw(ds, cfg, train_final=False, noisy=LabelVector(flipped))
         flagged = weights.flags > 0
         matched = ds.matched_mask
         precision = flip_mask[flagged & matched].mean()
