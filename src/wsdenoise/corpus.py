@@ -89,9 +89,10 @@ class WeakDataset:
         return count_terms(self.texts)
 
     def signatures(self) -> list[tuple[int, ...]]:
-        """Per sample, the sorted LF indices it matched (may be empty)."""
+        """Per sample, the sorted LF indices it matched (may be empty); a stored 0 is no match."""
         csr = self.z.tocsr(copy=True)
-        csr.sort_indices()  # on a copy: the order of Z's own entries stays as it was
+        csr.eliminate_zeros()  # on a copy, as the sort: Z's own entries stay as they were
+        csr.sort_indices()
         lfs, ptr = csr.indices.tolist(), csr.indptr.tolist()
         return [tuple(lfs[ptr[i]:ptr[i + 1]]) for i in range(self.n_samples)]
 
@@ -276,10 +277,9 @@ def load_dataset(doc_path, z_path, t_path, gold_path=None) -> WeakDataset:
             raise ValueError(f"{z_path} line {lineno}: LF index out of range ({lf} with L={n_lfs})")
         rows.append(seen[sid])
         cols.append(lf)
-    z = sp.csr_array(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n_lfs)
-    )
-    z.data = np.minimum(z.data, 1)  # tolerate duplicate pairs
+    # repeated pairs add up in bool, which cannot wrap as int8 does, to one match
+    z = sp.csr_array((np.ones(len(rows), dtype=bool), (rows, cols)),
+                     shape=(n, n_lfs)).astype(np.int8)
 
     t_lines = _read_lines(t_path)
     if not t_lines:
@@ -330,7 +330,8 @@ def save_dataset(ds: WeakDataset, doc_path, z_path, t_path, gold_path=None) -> N
         if "\n" in text or "\r" in text:
             raise ValueError(f"sample id {sid!r}: its text holds a line break")
     _write_lines(doc_path, (f"{sid}\t{text}" for sid, text in zip(ds.ids, ds.texts)))
-    coo = ds.z.tocoo()
+    coo = ds.z.tocoo(copy=True)
+    coo.eliminate_zeros()  # a stored 0 is no match, and the Z file lists matches only
     cells = sorted(zip(coo.coords[0].tolist(), coo.coords[1].tolist()))
     _write_lines(z_path, [f"{ds.n_samples} {ds.n_lfs}",
                           *(f"{ds.ids[i]}\t{j}" for i, j in cells)])

@@ -38,7 +38,7 @@ from wsdenoise.corpus import (
 )
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, evidence_memo, train_text_model
+from wsdenoise.pipeline import DenoiseResult, evidence_memo, finish
 from wsdenoise.seeding import derive_seed
 from wsdenoise.ulf import UlfConfig, run_ulf
 from wsdenoise.wscl import WsclConfig, run_wscl
@@ -194,16 +194,15 @@ def _execute_repeat(ds: WeakDataset, cfg: RunConfig, seed: int,
     if cfg.method == "wscl":
         return run_wscl(ds, method_cfg, train_final=train_final)
     labels = majority_vote(ds, ds.t, seed)
-    result = DenoiseResult(final_labels=labels, refined_t=np.asarray(ds.t, dtype=float))
-    if cfg.method == "wscw":
-        def _collect(plan, probs):
-            result.last_plan, result.last_probs = plan, probs
+    if cfg.method == "baseline_majority":
+        return finish(ds, labels, train_final, cfg.featurize_config(), cfg.classifier_config(seed))
+    result = DenoiseResult(final_labels=labels, refined_t=np.array(ds.t, dtype=float))
 
-        result.sample_weights, result.final_model = run_wscw(
-            ds, method_cfg, train_final=train_final, collect_audit=_collect, noisy=labels)
-    elif train_final:
-        result.final_model = train_text_model(ds, labels.labels, feat_cfg=cfg.featurize_config(),
-                                              clf_cfg=cfg.classifier_config(seed))
+    def _collect(plan, probs):
+        result.last_plan, result.last_probs = plan, probs
+
+    result.sample_weights, result.final_model = run_wscw(
+        ds, method_cfg, train_final=train_final, collect_audit=_collect, noisy=labels)
     return result
 
 

@@ -3,10 +3,11 @@
 All three methods run weak labels -> fold plan -> out-of-sample
 probabilities -> class thresholds -> confident labels, then a repair of their
 own.  ``oos_evidence`` is that common stage, ``DenoiseResult`` the one result
-type every method is reported as, and ``TextModel`` the vocabulary plus
-classifier trained on the repaired labels.  ``evidence_memo`` scopes the
-reuse of out-of-sample probabilities between ``oos_evidence`` calls whose
-fold fits would be identical.
+type every method is reported as, and ``finish`` the last step, which builds
+that result and trains the ``TextModel`` (a vocabulary plus a classifier) on
+the repaired labels.  ``evidence_memo`` scopes the reuse of out-of-sample
+probabilities between ``oos_evidence`` calls whose fold fits would be
+identical.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ class DenoiseResult:
     def iterations_run(self) -> int:
         """ULF refinement passes, one ``diagnostics`` record each (0 for other methods)."""
         return len(self.diagnostics)
+
+
+def finish(ds: WeakDataset, labels: LabelVector, train_final: bool, feat: FeaturizeConfig,
+           clf: ClassifierConfig, **fields) -> DenoiseResult:
+    """Build a method's result from ``fields`` and, when ``train_final``, its final model.
+
+    ``refined_t`` defaults to a copy of ``ds.t``.  The model trains on
+    ``labels`` at the rows ``keep_mask`` keeps (all rows without one), each
+    weighted by ``sample_weights.w`` when the result has weights.
+    """
+    fields.setdefault("refined_t", np.array(ds.t, dtype=float))
+    result = DenoiseResult(labels, **fields)
+    if train_final:
+        rows = None if result.keep_mask is None else np.flatnonzero(result.keep_mask)
+        y = labels.labels if rows is None else labels.labels[rows]
+        w = None if result.sample_weights is None else result.sample_weights.w
+        result.final_model = train_text_model(ds, y, rows, w, feat, clf)
+    return result
 
 
 @contextlib.contextmanager

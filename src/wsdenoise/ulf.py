@@ -24,7 +24,7 @@ from wsdenoise.corpus import LabelVector, WeakDataset, majority_vote
 from wsdenoise.crossval import STRATEGIES
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
+from wsdenoise.pipeline import DenoiseResult, finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
@@ -143,14 +143,6 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, train_final: bool = True) -> Denois
         if stall >= cfg.stall_patience:
             break
 
-    model = None
-    if train_final:
-        model = train_text_model(ds, final.labels, feat_cfg=cfg.feat, clf_cfg=cfg.clf)
-    return DenoiseResult(
-        final_labels=final,
-        refined_t=t_hat,
-        final_model=model,
-        diagnostics=diagnostics,
-        last_plan=plan,  # the last iteration's
-        last_probs=probs,
-    )
+    # the last iteration's plan and probabilities
+    return finish(ds, final, train_final, cfg.feat, cfg.clf, refined_t=t_hat,
+                  diagnostics=diagnostics, last_plan=plan, last_probs=probs)

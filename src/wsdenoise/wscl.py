@@ -19,7 +19,7 @@ from wsdenoise.confidence import NO_LABEL, calibrate_rows
 from wsdenoise.corpus import WeakDataset, as_labels, majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, oos_evidence, train_text_model
+from wsdenoise.pipeline import DenoiseResult, finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
@@ -121,12 +121,6 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, train_final: bool = True,
     joint = class_confident_joint(noisy, conf, ds.num_classes)
     q = calibrate_joint(joint, noisy)
     mask = prune(q, probs.probs, noisy)
-
-    model = None
-    if train_final:
-        kept = np.flatnonzero(mask.keep)
-        model = train_text_model(ds, noisy.labels[kept], kept,
-                                 feat_cfg=cfg.feat, clf_cfg=cfg.clf)
     report = {
         "confident_joint": joint.tolist(),
         "joint_estimate": q.tolist(),
@@ -134,12 +128,5 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, train_final: bool = True,
         "shortfall": mask.shortfall.tolist(),
         "pruned_ids": np.flatnonzero(~mask.keep).tolist(),
     }
-    return DenoiseResult(
-        final_labels=noisy,
-        refined_t=np.asarray(ds.t, dtype=float).copy(),
-        final_model=model,
-        keep_mask=mask.keep,
-        prune_report=report,
-        last_plan=plan,
-        last_probs=probs,
-    )
+    return finish(ds, noisy, train_final, cfg.feat, cfg.clf, keep_mask=mask.keep,
+                  prune_report=report, last_plan=plan, last_probs=probs)

@@ -16,7 +16,7 @@ import numpy as np
 from wsdenoise.corpus import WeakDataset, majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import oos_evidence, train_text_model
+from wsdenoise.pipeline import finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
@@ -68,9 +68,6 @@ def run_wscw(ds: WeakDataset, cfg: WscwConfig, train_final: bool = True,
         if collect_audit is not None:
             collect_audit(plan, probs)
 
-    weights = SampleWeights(cfg.epsilon ** flags.astype(float), flags)
-    model = None
-    if train_final:
-        model = train_text_model(ds, noisy.labels, sample_weights=weights.w,
-                                 feat_cfg=cfg.feat, clf_cfg=cfg.clf)
-    return weights, model
+    result = finish(ds, noisy, train_final, cfg.feat, cfg.clf,
+                    sample_weights=SampleWeights(cfg.epsilon ** flags.astype(float), flags))
+    return result.sample_weights, result.final_model

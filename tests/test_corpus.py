@@ -36,6 +36,13 @@ def write_files(tmp_path, docs, z_lines, t_lines, gold=None):
     return doc_p, z_p, t_p, g_p
 
 
+def _stored_zero_dataset():
+    """Z = [[1, 0], [0, 1]] with its 0 at (0, 1) stored: a stored 0 is no match."""
+    z = sp.csr_array((np.array([1, 0, 1], dtype=np.int8), np.array([0, 1, 1]),
+                      np.array([0, 2, 3])), shape=(2, 2))
+    return WeakDataset(texts=["x", "y"], ids=["a", "b"], z=z, t=np.eye(2), num_classes=2)
+
+
 class TestLoadDataset:
     def test_smallest_well_formed(self, tmp_path):
         paths = write_files(
@@ -141,6 +148,30 @@ class TestLoadDataset:
         paths = write_files(tmp_path, docs, z_lines, t_lines)
         ds = load_dataset(*paths[:3])
         assert ds.n_lfs == 10 and ds.num_classes == 2
+
+    # int8 sums wrapped: 128 copies of a pair loaded as -128, 256 as a silent 0
+    @pytest.mark.parametrize("copies", [1, 2, 127, 128, 255, 256])
+    def test_repeated_pairs_are_one_match(self, tmp_path, copies):
+        paths = write_files(
+            tmp_path,
+            docs=[("a", "x"), ("b", "y")],
+            z_lines=["2 2", *["a\t1"] * copies, "b\t0"],
+            t_lines=["2 2", "0\t0", "1\t1"],
+        )
+        ds = load_dataset(*paths[:3])
+        assert ds.z.dtype == np.int8 and ds.z.data.tolist() == [1, 1]
+        assert ds.z.toarray().tolist() == [[0, 1], [1, 0]]
+        assert ds.lf_hits.tolist() == [1, 1] and ds.signatures() == [(1,), (0,)]
+
+    def test_save_writes_no_stored_zero(self, tmp_path):
+        ds = _stored_zero_dataset()
+        paths = [tmp_path / n for n in ("docs.tsv", "z.tsv", "t.tsv")]
+        save_dataset(ds, *paths)
+        assert paths[1].read_text() == "2 2\na\t0\nb\t1\n"
+        back = load_dataset(*paths)
+        assert back.lf_hits.tolist() == ds.lf_hits.tolist() == [1, 1]
+        np.testing.assert_array_equal(back.z.toarray(), ds.z.toarray())
+        assert ds.z.nnz == 3  # on a copy: Z keeps its stored zero
 
     def test_round_trip_bit_identical(self, tmp_path):
         docs = [("a", "hello there"), ("b", "bye"), ("c", "again now")]
@@ -412,3 +443,9 @@ class TestSignatures:
         assert sigs[0] == sigs[7] == sigs[59] == ()
         assert all(type(j) is int for sig in sigs for j in sig)
         assert np.array_equal(ds.z.indices, indices)  # Z itself keeps its entry order
+
+    def test_a_stored_zero_is_no_match(self):
+        ds = _stored_zero_dataset()
+        assert ds.signatures() == [(0,), (1,)]
+        assert ds.lf_hits.tolist() == [1, 1]
+        assert ds.z.nnz == 3  # on a copy: Z keeps its stored zero

@@ -5,11 +5,12 @@ import sys
 import types
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsdenoise import cli, harness, pipeline, ulf, wscl, wscw
+from wsdenoise import cli, harness, pipeline
 from wsdenoise.corpus import dataset_stats, save_dataset
 from wsdenoise.harness import (
     RunConfig,
@@ -352,8 +353,7 @@ class TestRun:
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
-        for module in (harness, ulf, wscl, wscw):
-            monkeypatch.setattr(module, "train_text_model", counting)
+        monkeypatch.setattr(pipeline, "train_text_model", counting)
         fast = self._fast(repeats=2)
         run(RunConfig(method=method, out_dir=str(tmp_path / "gold"), partitions=1, **fast),
             ds=ds)
@@ -482,7 +482,7 @@ class TestGridSearch:
         points = [f"grid_{r['grid_index']:04d}" for r in results]
         assert sorted(os.listdir(base.out_dir)) == sorted(
             points + kept + ["grid_extra", "grid_results.json"])
-        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        written = json.loads(Path(base.out_dir, "grid_results.json").read_text())
         assert written["results"] == results
 
     def test_bad_value_keeps_the_previous_sweep(self, tmp_path):
@@ -507,14 +507,14 @@ class TestGridSearch:
         ok, failed = results
         assert "error" not in ok and ok["dev_mean"] is not None
         assert failed["dev_mean"] is None and "all repeats failed" in failed["error"]
-        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        written = json.loads(Path(base.out_dir, "grid_results.json").read_text())
         assert written == {"best_index": 0, "results": results}
 
     def test_all_points_failing_raises_after_writing_results(self, tmp_path):
         ds, base = self._setup(tmp_path, n=300)
         with pytest.raises(RuntimeError, match="every grid point failed"):
             grid_search(base, {"k": [4000, 5000]}, ds=ds)
-        written = json.loads(open(os.path.join(base.out_dir, "grid_results.json")).read())
+        written = json.loads(Path(base.out_dir, "grid_results.json").read_text())
         assert written["best_index"] is None
         assert [r["dev_mean"] for r in written["results"]] == [None, None]
 
