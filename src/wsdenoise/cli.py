@@ -70,8 +70,8 @@ def _field_types(cls) -> dict:
 
 _RUN_TYPES = _field_types(RunConfig)
 # verb options that are not config fields; a budget of none means no limit
-_VERB_TYPES = {"budget": (int, True), "stats_repeats": (int, False)}
-_VERB_OF = {"budget": "grid", "stats_repeats": "stats"}  # the one verb that takes each
+_VERB_TYPES = {"budget": (int, True)}
+_VERB_OF = {"budget": "grid"}  # the one verb that takes each
 # each verb's method, else the verb itself; grid's is only a default
 _METHOD_OF = {"baseline": "baseline_majority", "stats": "baseline_majority", "grid": "ulf"}
 
@@ -161,11 +161,9 @@ def main(argv=None) -> int:
         raise ValueError(f"--method {method!r} disagrees with the {ns.verb} verb")
 
     if ns.verb == "stats":
-        repeats = _coerce("stats_repeats", values.pop("stats_repeats", "5"), _VERB_TYPES)
         cfg = _build(RunConfig, values, method=method)
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
-        print(json.dumps(dataset_stats(ds, repeats=repeats, seed=cfg.seed),
-                         indent=1, sort_keys=True))
+        print(json.dumps(dataset_stats(ds), indent=1, sort_keys=True))
         return 0
 
     if ns.verb == "grid":

@@ -15,7 +15,8 @@ preserving file order; the mapping is kept on the dataset and emitted
 alongside run outputs.  ``_read_lines`` reads these files and the CLI's
 ``--config`` files alike; ``_write_lines`` beside it writes them and a run
 directory's line files.  Which samples no LF matched is kept once, as
-``WeakDataset.matched_mask``; ``dataset_stats`` returns the ``stats`` report.
+``WeakDataset.matched_mask``.  ``dataset_stats`` returns the ``stats`` report,
+with the majority vote's accuracy worked out exactly rather than sampled.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from wsdenoise.featurize import TermCounts, count_terms
-from wsdenoise.seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,20 @@ class WeakDataset:
         data = self.z.data
         if data.size and not np.isin(data, (0, 1)).all():
             raise ValueError("Z entries must be 0 or 1")
+        if not self.z.has_canonical_format:  # summed on a copy: Z keeps its entries and order
+            canonical = self.z.copy()
+            canonical.sum_duplicates()
+            if canonical.nnz != self.z.nnz:
+                raise ValueError("Z stores an entry more than once")
+        if not np.isfinite(self.t).all():
+            raise ValueError("T entries must be finite")
         if (self.t < 0).any():
             raise ValueError("T entries must be nonnegative")
         if self.gold is not None:
-            if len(self.gold) != n:
+            gold = as_labels(self.gold)
+            if len(gold) != n:
                 raise ValueError("gold label vector length mismatch")
-            if self.gold.size and (self.gold.min() < 0 or self.gold.max() >= self.num_classes):
+            if gold.size and (gold.min() < 0 or gold.max() >= self.num_classes):
                 raise ValueError("gold labels out of range")
 
     @property
@@ -120,10 +128,19 @@ def as_labels(labels) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _tie_rng(seed: int, sample_id: int) -> np.random.Generator:
-    # counter-based stream keyed by (seed, sample id): evaluation order cannot
-    # change results
-    return np.random.default_rng([seed, sample_id])
+def _top_classes(ds: WeakDataset, t_matrix) -> np.ndarray:
+    """Per sample, the classes of largest ``row_i(Z) @ t_matrix``: all K for an unmatched row."""
+    t = np.asarray(t_matrix, dtype=float)
+    if t.shape != (ds.n_lfs, ds.num_classes):
+        raise ValueError("t_matrix shape mismatch")
+    if not np.isfinite(t).all():
+        raise ValueError("t_matrix entries must be finite")
+    if (t < 0).any():
+        raise ValueError("t_matrix rows must be nonnegative")
+    if (t.sum(axis=1) <= 0).any():
+        raise ValueError("t_matrix rows must have positive sum")
+    scores = ds.z @ t
+    return scores == scores.max(axis=1, keepdims=True)
 
 
 def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVector:
@@ -133,39 +150,29 @@ def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVect
     keyed by (seed, sample id); samples with an empty signature (off
     ``ds.matched_mask``) tie across all classes and get a uniformly random one.
     """
-    t = np.asarray(t_matrix, dtype=float)
-    if t.shape != (ds.n_lfs, ds.num_classes):
-        raise ValueError("t_matrix shape mismatch")
-    if (t < 0).any():
-        raise ValueError("t_matrix rows must be nonnegative")
-    if (t.sum(axis=1) <= 0).any():
-        raise ValueError("t_matrix rows must have positive sum")
-
-    scores = ds.z @ t  # (N, K); an unmatched row scores 0 everywhere, a K-way tie
-    labels = np.argmax(scores, axis=1).astype(np.int64)
-    is_max = scores == scores.max(axis=1, keepdims=True)
-
+    is_max = _top_classes(ds, t_matrix)
+    labels = np.argmax(is_max, axis=1).astype(np.int64)
     for i in np.flatnonzero(is_max.sum(axis=1) > 1):
         tied = np.flatnonzero(is_max[i])
-        labels[i] = tied[_tie_rng(seed, int(i)).integers(len(tied))]
-
+        # a counter-based stream per sample: evaluation order cannot change results
+        labels[i] = tied[np.random.default_rng([seed, int(i)]).integers(len(tied))]
     return LabelVector(labels)
 
 
-def dataset_stats(ds: WeakDataset, repeats: int = 5, seed: int = 0) -> dict:
-    """The ``stats`` verb's report: sizes, coverage, mean LF hits and, with gold,
-    ``majority_accuracy_mean`` and ``_std`` of the vote over ``repeats`` seeds."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+def dataset_stats(ds: WeakDataset) -> dict:
+    """The ``stats`` verb's report: sizes, coverage, mean LF hits and, with gold, the exact
+    ``majority_accuracy_mean`` and ``_std`` of one vote over its tie-breaks.  A vote is
+    right at sample i with probability p_i = [gold_i is a top class] / (number of top
+    classes), independently, so these are mean(p) and sqrt(sum(p * (1 - p))) / N."""
     hits, n = ds.lf_hits, ds.n_samples
     out = {"n_samples": n, "n_lfs": ds.n_lfs, "num_classes": ds.num_classes,
            "coverage": float((hits > 0).mean()) if n else 0.0,
            "avg_lf_hits": float(hits.mean()) if n else 0.0}
     if ds.gold is not None:
-        vals = [float((majority_vote(ds, ds.t, derive_seed(seed, r)).labels == ds.gold).mean())
-                for r in range(repeats)]
-        out["majority_accuracy_mean"] = float(np.mean(vals))
-        out["majority_accuracy_std"] = float(np.std(vals, ddof=1)) if repeats > 1 else 0.0
+        is_max = _top_classes(ds, ds.t)
+        p = is_max[np.arange(n), as_labels(ds.gold)] / is_max.sum(axis=1)
+        out["majority_accuracy_mean"] = float(p.mean())
+        out["majority_accuracy_std"] = float(np.sqrt((p * (1 - p)).sum()) / n)
     return out
 
 

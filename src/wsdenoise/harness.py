@@ -52,7 +52,7 @@ STRATEGY_ALIASES = {
     "sgn": "by_signature", "by_signature": "by_signature",
 }
 # the files ``run`` writes into a run directory, besides ``diagnostics/``;
-# a rerun removes these first
+# a finished rerun removes these before it writes its own
 ARTIFACT_FILES = ("config.txt", "id_mapping.tsv", "labels_corrected.tsv", "t_refined.tsv",
                   "metrics.json", "timing.json", "weights.tsv", "prune_report.json",
                   "fold_audit.tsv")
@@ -169,6 +169,12 @@ def evaluate(pred, gold, metric: str) -> float:
     if metric == "macro_f1":
         return float(np.mean([_f1(p, g, c) for c in np.union1d(p, g)]))
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _check_metric(metric: str, ds: WeakDataset) -> None:
+    """Reject a metric the dataset cannot be scored by, before a run touches its directory."""
+    if metric == "binary_f1" and ds.num_classes != 2:
+        raise ValueError(f"binary_f1 requires K = 2, and the dataset has K = {ds.num_classes}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +300,9 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
     dev split is provided, the first repeat with the best dev score supplies
     the written artifacts; otherwise the last repeat does.  A repeat that
     raises is recorded in ``failures`` with its exception type and skipped;
-    the run raises only when every repeat fails.
+    the run raises only when every repeat fails.  What an earlier run wrote in
+    ``out_dir`` is removed only after every repeat has run and been scored, so
+    a run that raises leaves it in place.
     """
     start = time.monotonic()
     if ds is None:
@@ -306,7 +314,7 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
         test = _load_split(cfg.test_doc_path, cfg.test_gold_path, ds.num_classes)
     if test is None and ds.gold is None:
         raise ValueError("no evaluation target: provide a test split or training gold")
-    _clear_artifacts(cfg.out_dir)
+    _check_metric(cfg.metric, ds)
     train_final = dev is not None or test is not None  # only held-out splits use the model
 
     values, dev_values, failures = [], [], []
@@ -339,6 +347,7 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
                "partial": bool(failures), "values": values, "mean": float(np.mean(values)),
                "sem": sem, "dev_values": dev_values if dev is not None else None,
                "dev_mean": float(np.mean(dev_values)) if dev_values else None}
+    _clear_artifacts(cfg.out_dir)
     _write_artifacts(cfg.out_dir, cfg, ds, best[1], metrics, time.monotonic() - start)
     return metrics
 
@@ -356,8 +365,9 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
 
     Before the sweep, ``grid_results.json`` and the ``grid_NNNN/`` directories
     of an earlier sweep are removed from ``base.out_dir``, so the directory
-    never mixes two sweeps; a value no ``RunConfig`` accepts (``p=2``, say)
-    raises before that, leaving the earlier sweep in place.  The points run
+    never mixes two sweeps; a value no ``RunConfig`` accepts (``p=2``, say) or
+    ``binary_f1`` on a dataset with K != 2 raises before that, leaving the
+    earlier sweep in place.  The points run
     inside one ``pipeline.evidence_memo``: a point reuses the out-of-sample
     probabilities of an earlier point whose fold fits had equal inputs (a
     ``wscw`` epsilon sweep refits no partition, a ``ulf`` p sweep shares
@@ -382,6 +392,8 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
             for i in indices]
     if ds is None:
         ds = load_dataset(base.doc_path, base.z_path, base.t_path, base.gold_path or None)
+    for cfg in cfgs:
+        _check_metric(cfg.metric, ds)
     _clear_grid(base.out_dir)
     results = []
     best_cfg, best_score, best_idx = None, -np.inf, None

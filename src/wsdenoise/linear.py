@@ -111,6 +111,8 @@ class ClassifierConfig:
             raise ValueError("epochs, patience and batch_size must be >= 1")
         if not 0 <= self.l2 < np.inf:
             raise ValueError("l2 must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

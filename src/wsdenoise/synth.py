@@ -61,6 +61,8 @@ class SynthConfig:
             raise ValueError("coverage_target must lie in (0, 1]")
         if not 0.0 < self.lf_precision <= 1.0:
             raise ValueError("lf_precision must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for lf, cls in self.misallocated_lfs:
             if not 0 <= lf < self.n_lfs:
                 raise ValueError(f"misallocated LF index {lf} out of range")

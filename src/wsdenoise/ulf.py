@@ -51,6 +51,8 @@ class UlfConfig:
             raise ValueError("lambda_rate must be nonnegative")
         if self.max_iters < 1 or self.stall_patience < 1:
             raise ValueError("max_iters and stall_patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def lf_confident_matrix(ds: WeakDataset, conf: np.ndarray) -> np.ndarray:

@@ -46,6 +46,8 @@ class WsclConfig:
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
         if not self.lambda_rate >= 0:
             raise ValueError("lambda_rate must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def class_confident_joint(noisy, conf: np.ndarray, num_classes: int) -> np.ndarray:

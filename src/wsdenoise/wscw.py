@@ -36,6 +36,8 @@ class WscwConfig:
             raise ValueError("partitions must be >= 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -10,6 +10,13 @@ one ``ref_train`` fit and one prediction per fold, then a per-sample mean.
 ``crossval.estimate_oos``, which trains its folds in groups, must return the
 same probabilities bit for bit.
 
+``ref_wscl`` and ``ref_wscw`` are the two reweighting methods as plain loops
+over their equations: thresholds, confident labels, the confident joint and
+its calibration, pruning, and CrossWeigh's flags and weights are written out
+again, sample by sample.  Each reads its evidence from ``ref_estimate_oos`` on
+the method's own plan and classifier seeds.  ``wscl.run_wscl`` and
+``wscw.run_wscw`` must reproduce them bit for bit.
+
 ``ref_generate`` is ``synth.generate`` with the per-word loop it had before
 its words were drawn in blocks: two scalar draws per word, document by
 document.  ``generate`` must build the same dataset byte for byte.
@@ -20,12 +27,14 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
-from wsdenoise.crossval import FoldPlan, OOSProbs
+from wsdenoise.corpus import LabelVector, WeakDataset, as_labels, majority_vote
+from wsdenoise.crossval import FoldPlan, OOSProbs, build_plan, plan_by_lf
 from wsdenoise.featurize import FeaturizeConfig, fit_rows, transform_rows
 from wsdenoise.linear import ClassifierConfig, Model, predict_proba
 from wsdenoise.seeding import derive_seed
 from wsdenoise.synth import SynthConfig
+from wsdenoise.wscl import WsclConfig
+from wsdenoise.wscw import WscwConfig
 
 
 def _loss(x, w, b, y, sw, l2):
@@ -106,6 +115,71 @@ def ref_estimate_oos(ds: WeakDataset, labels, plan: FoldPlan, feat: FeaturizeCon
             raise RuntimeError(f"fold {f}: {exc}") from exc
         cnt[te] += 1
     return OOSProbs(acc / cnt[:, None], cnt)
+
+
+def ref_wscl(ds: WeakDataset, cfg: WsclConfig) -> tuple[np.ndarray, dict]:
+    """Confident Learning's prune step, sample by sample: the keep mask and the prune report.
+
+    Class j's threshold is the mean probability of j over the samples voted j,
+    or 1/K when none is.  A sample's confident label is its most probable class
+    among those at or above their threshold, the lowest on a tie.  The joint
+    counts (vote, confident label) pairs; row i is scaled to the number of
+    class-i votes, then all of it divided by N.  Cell (i, j), i != j, in
+    row-major order, prunes the round-half-up N * q[i, j] samples voted i and
+    not yet pruned with the largest p(j) - p(i), the lower id first on a tie.
+    """
+    noisy = majority_vote(ds, ds.t, cfg.seed).labels
+    plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600))
+    probs = ref_estimate_oos(ds, noisy, plan, cfg.feat,
+                             replace(cfg.clf, seed=derive_seed(cfg.seed, 700))).probs
+    n, k = probs.shape
+    voted = [np.flatnonzero(noisy == j) for j in range(k)]
+    threshold = [probs[v, j].mean() if v.size else 1.0 / k for j, v in enumerate(voted)]
+    joint = np.zeros((k, k), dtype=np.int64)
+    for s in range(n):
+        clear = [j for j in range(k) if probs[s, j] >= threshold[j]]
+        if clear:
+            joint[noisy[s], max(clear, key=lambda j: (probs[s, j], -j))] += 1
+    q = np.zeros((k, k))
+    for i in range(k):
+        if joint[i].sum() > 0:
+            q[i] = joint[i] * (float(voted[i].size) / float(joint[i].sum()))
+    q /= n
+    pruned = np.zeros(n, dtype=bool)
+    counts, shortfall = np.zeros((k, k), dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            want = int(np.floor(n * q[i, j] + 0.5))
+            if i == j or want <= 0:
+                continue
+            cand = [s for s in range(n) if noisy[s] == i and not pruned[s]]
+            take = sorted(cand, key=lambda s: (-(probs[s, j] - probs[s, i]), s))[:want]
+            pruned[take] = True
+            counts[i, j], shortfall[i, j] = len(take), want - len(take)
+    return ~pruned, {"confident_joint": joint.tolist(), "joint_estimate": q.tolist(),
+                     "pruned_counts": counts.tolist(), "shortfall": shortfall.tolist(),
+                     "pruned_ids": np.flatnonzero(pruned).tolist()}
+
+
+def ref_wscw(ds: WeakDataset, cfg: WscwConfig) -> tuple[np.ndarray, np.ndarray]:
+    """CrossWeigh's flags, partition by partition: the sample weights and the flags.
+
+    Partition p plans by-LF folds seeded ``derive_seed(seed, 400, p)`` and
+    trains them under ``derive_seed(seed, 500, p)``.  A matched sample whose
+    most probable out-of-sample class (the lowest on a tie) is not its vote
+    gets a flag, and its weight is epsilon ** flags.
+    """
+    noisy = majority_vote(ds, ds.t, cfg.seed).labels
+    matched = ds.z.toarray().any(axis=1)
+    flags = np.zeros(ds.n_samples, dtype=np.int64)
+    for part in range(cfg.partitions):
+        plan = plan_by_lf(ds, cfg.k, 0.0, derive_seed(cfg.seed, 400, part))
+        probs = ref_estimate_oos(ds, noisy, plan, cfg.feat,
+                                 replace(cfg.clf, seed=derive_seed(cfg.seed, 500, part))).probs
+        for s in range(ds.n_samples):
+            if matched[s] and int(np.argmax(probs[s])) != noisy[s]:
+                flags[s] += 1
+    return cfg.epsilon ** flags.astype(float), flags
 
 
 def ref_generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:

@@ -275,7 +275,7 @@ class TestAcceptance:
                           os.path.join(data_dir, "z.tsv"),
                           os.path.join(data_dir, "t.tsv"),
                           os.path.join(data_dir, "gold.tsv"))
-        stats = dataset_stats(ds, repeats=5, seed=0)
+        stats = dataset_stats(ds)
         ok = abs(stats["coverage"] - 0.87) <= 0.03
         ok &= abs(stats["majority_accuracy_mean"] - 0.82) <= 0.03
         cfg = UlfConfig(p=0.5, k=8, strategy="by_signature", max_iters=5,

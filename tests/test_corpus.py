@@ -1,4 +1,5 @@
 import codecs
+import itertools
 import os
 import re
 import tempfile
@@ -371,6 +372,13 @@ class TestMajorityVote:
         with pytest.raises(ValueError, match="t_matrix rows must be nonnegative"):
             majority_vote(ds, np.array([[2.0, -1.0]]), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t(self, bad):
+        # a NaN compares False both ways, so it passed as nonnegative and won the vote
+        ds = make_dataset([[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="t_matrix entries must be finite"):
+            majority_vote(ds, np.array([[bad, 1.0], [0.0, 1.0]]), 0)
+
 
 class TestWeakDataset:
     @pytest.mark.parametrize("change, match", [
@@ -383,6 +391,15 @@ class TestWeakDataset:
         ({"gold": np.array([0])}, "gold label vector length mismatch"),
         ({"gold": np.array([0, 2])}, "gold labels out of range"),
         ({"gold": np.array([-1, 0])}, "gold labels out of range"),
+        ({"gold": np.array([0.5, 1.0])}, "label 0.5 is not a whole number"),
+        ({"t": np.array([[np.nan, 1.0], [0.0, 1.0]])}, "T entries must be finite"),
+        ({"t": np.array([[np.inf, 0.0], [0.0, 1.0]])}, "T entries must be finite"),
+        ({"t": np.array([[-np.inf, 1.0], [0.0, 1.0]])}, "T entries must be finite"),
+        # LF 1 stored twice in row 0: it would count as two matches
+        ({"z": sp.csr_array(([1, 1, 1], [1, 1, 0], [0, 2, 3]), shape=(2, 2))},
+         "Z stores an entry more than once"),
+        ({"z": sp.csr_array(([1, 0, 1], [0, 0, 1], [0, 2, 3]), shape=(2, 2))},
+         "Z stores an entry more than once"),
     ])
     def test_rejects_inconsistent_parts(self, change, match):
         parts = {"texts": ["x", "y"], "ids": ["a", "b"], "z": sp.csr_array(np.eye(2)),
@@ -390,12 +407,15 @@ class TestWeakDataset:
         with pytest.raises(ValueError, match=match):
             WeakDataset(**{**parts, **change})
 
+    def test_synth_and_loaded_z_are_canonical(self, tmp_path):
+        ds, _ = generate(SynthConfig(n_samples=300, seed=3))
+        assert ds.z.has_canonical_format
+        paths = [tmp_path / name for name in ("docs.tsv", "z.tsv", "t.tsv")]
+        save_dataset(ds, *paths)
+        assert load_dataset(*paths).z.has_canonical_format
+
 
 class TestDatasetStats:
-    def test_repeats_below_one_rejected(self):
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            dataset_stats(make_dataset(np.eye(2), np.eye(2)), repeats=0)
-
     def test_all_zero_z(self):
         ds = make_dataset(np.zeros((4, 2)), [[1, 0], [0, 1]])
         s = dataset_stats(ds)
@@ -413,8 +433,45 @@ class TestDatasetStats:
 
     def test_majority_accuracy_reported_with_gold(self):
         ds, _ = generate(SynthConfig(n_samples=500, seed=2))
-        s = dataset_stats(ds, repeats=3, seed=0)
+        s = dataset_stats(ds)
         assert 0.0 <= s["majority_accuracy_mean"] <= 1.0 and s["majority_accuracy_std"] >= 0.0
+
+    def test_ties_by_hand(self):
+        # sample 0: one LF per class fires, a coin flip; sample 1: a sure hit;
+        # sample 2: unmatched, all 3 classes tie
+        ds = make_dataset([[1, 1, 0], [1, 0, 0], [0, 0, 0]], np.eye(3), gold=[1, 0, 2])
+        s = dataset_stats(ds)
+        p = np.array([1 / 2, 1, 1 / 3])
+        assert s["majority_accuracy_mean"] == pytest.approx(p.mean(), abs=1e-15)
+        assert s["majority_accuracy_std"] == pytest.approx(
+            np.sqrt((p * (1 - p)).sum()) / 3, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_every_tie_break_enumerated(self, data):
+        k = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 12 if k == 2 else 7))  # at most 4096 outcomes
+        l = data.draw(st.integers(1, 4))
+        z = data.draw(arrays(np.int8, (n, l), elements=st.integers(0, 1)))
+        t = data.draw(arrays(float, (l, k), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        t[t.sum(axis=1) == 0, 0] = 1.0
+        gold = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        scores = z.astype(float) @ t
+        tops = [np.flatnonzero(row == row.max()) for row in scores]
+        # every outcome has probability prod(1 / len(top)), the same for all of them
+        acc = np.array([np.mean(np.array(pick) == gold) for pick in itertools.product(*tops)])
+        s = dataset_stats(make_dataset(z, t, gold=gold))
+        assert s["majority_accuracy_mean"] == pytest.approx(acc.mean(), abs=1e-12)
+        assert s["majority_accuracy_std"] == pytest.approx(acc.std(), abs=1e-12)
+
+    def test_agrees_with_votes_over_many_seeds(self):
+        ds, _ = generate(SynthConfig(n_samples=300, coverage_target=0.6, seed=8))
+        s = dataset_stats(ds)
+        acc = [float((majority_vote(ds, ds.t, seed).labels == ds.gold).mean())
+               for seed in range(200)]
+        sem = s["majority_accuracy_std"] / np.sqrt(len(acc))
+        assert abs(np.mean(acc) - s["majority_accuracy_mean"]) < 4 * sem
+        assert 0.7 < np.std(acc) / s["majority_accuracy_std"] < 1.3
 
 
 class TestSignatures:

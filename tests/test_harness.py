@@ -18,7 +18,11 @@ from wsdenoise.harness import (
     grid_search,
     run,
 )
+from wsdenoise.linear import ClassifierConfig
 from wsdenoise.synth import SynthConfig, generate
+from wsdenoise.ulf import UlfConfig
+from wsdenoise.wscl import WsclConfig
+from wsdenoise.wscw import WscwConfig
 
 
 def _snapshot(root) -> dict:
@@ -157,6 +161,12 @@ class TestRunConfig:
     def test_rejects_bad_method_value(self, method, key, value, match):
         with pytest.raises(ValueError, match=match):
             RunConfig(method=method, **{key: value})
+
+    @pytest.mark.parametrize("cls", [ClassifierConfig, SynthConfig, UlfConfig, WsclConfig,
+                                     WscwConfig, RunConfig])
+    def test_every_config_with_a_seed_rejects_a_negative_one(self, cls):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cls(seed=-1)
 
     @pytest.mark.parametrize("method", ["baseline_majority", "ulf", "wscw"])
     def test_random_strategy_is_refused_by_wscl_only(self, method):
@@ -493,6 +503,17 @@ class TestGridSearch:
             grid_search(base, {"p": [0.3, 2.0]}, ds=ds)
         assert _snapshot(base.out_dir) == before
 
+    def test_binary_f1_on_four_classes_keeps_the_previous_sweep(self, tmp_path):
+        ds, base = self._setup(tmp_path)
+        grid_search(base, {"p": [0.1, 0.3]}, ds=ds)
+        before = _snapshot(base.out_dir)
+        ds4, _ = generate(SynthConfig(n_samples=200, n_classes=4, seed=30))
+        with pytest.raises(ValueError, match="binary_f1 requires K = 2"):
+            grid_search(replace(base, metric="binary_f1"), {"p": [0.1, 0.3]}, ds=ds4)
+        with pytest.raises(ValueError, match="binary_f1 requires K = 2"):
+            grid_search(base, {"metric": ["accuracy", "binary_f1"]}, ds=ds4)
+        assert _snapshot(base.out_dir) == before
+
     def test_selects_highest_dev_mean(self, tmp_path):
         ds, base = self._setup(tmp_path)
         best, results = grid_search(base, {"p": [0.0, 0.5], "k": [3, 4]}, ds=ds)
@@ -546,7 +567,7 @@ class TestGridSearch:
 class TestStatsReport:
     def test_fields(self):
         ds, _ = generate(SynthConfig(n_samples=200, seed=40, coverage_target=0.85))
-        out = dataset_stats(ds, repeats=3, seed=0)
+        out = dataset_stats(ds)
         assert out["n_samples"] == 200 and out["n_lfs"] == 10
         assert abs(out["coverage"] - ds.matched_mask.mean()) < 1e-12
         assert "majority_accuracy_mean" in out
@@ -703,6 +724,8 @@ class TestCli:
         ("wscl", "lr", "nan", "learning_rate must be positive and finite"),
         ("wscw", "l2", "inf", "l2 must be nonnegative and finite"),
         ("wscw", "p", "7", "p must lie in"),
+        ("ulf", "seed", "-1", "seed must be >= 0"),
+        ("baseline", "seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_value_keeps_the_previous_run(self, tmp_path, verb, key, value, match):
         data = self._synth(tmp_path)
@@ -713,6 +736,46 @@ class TestCli:
         with pytest.raises(ValueError, match=match):
             cli.main(args + [f"--{key}", value])
         assert _snapshot(tmp_path / "run") == before
+
+    def test_binary_f1_on_four_classes_keeps_the_previous_run(self, tmp_path):
+        data = self._synth(tmp_path, n_classes=4)
+        args = ["baseline", *self._data_args(data), "--out_dir", str(tmp_path / "run"),
+                "--epochs", "1"]
+        assert cli.main(args) == 0
+        before = _snapshot(tmp_path / "run")
+        with pytest.raises(ValueError, match="binary_f1 requires K = 2, and the dataset has K = 4"):
+            cli.main(args + ["--metric", "binary_f1"])
+        assert _snapshot(tmp_path / "run") == before
+
+    def test_run_whose_every_repeat_fails_keeps_the_previous_run(self, tmp_path, monkeypatch):
+        data = self._synth(tmp_path)
+        args = ["baseline", *self._data_args(data), "--out_dir", str(tmp_path / "run"),
+                "--epochs", "1", "--repeats", "2"]
+        assert cli.main(args) == 0
+        before = _snapshot(tmp_path / "run")
+
+        def failing(*args):
+            raise ZeroDivisionError("division by zero")
+        monkeypatch.setattr(harness, "_execute_repeat", failing)
+        with pytest.raises(RuntimeError, match="all repeats failed"):
+            cli.main(args)
+        assert _snapshot(tmp_path / "run") == before
+
+    def test_synth_rejects_a_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            self._synth(tmp_path / "neg", seed=-5)
+        assert not (tmp_path / "neg").exists()
+
+    def test_stats_takes_no_repeats_and_reads_no_seed(self, tmp_path, capsys):
+        data = self._synth(tmp_path)
+        with pytest.raises(ValueError, match="unknown config key 'stats_repeats'"):
+            cli.main(["stats", *self._data_args(data), "--stats_repeats", "3"])
+        capsys.readouterr()
+        outs = []
+        for seed in ("0", "9"):
+            assert cli.main(["stats", *self._data_args(data), "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_empty_test_split_keeps_the_previous_run(self, tmp_path):
         data = self._synth(tmp_path)
@@ -764,8 +827,6 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, key, raw", [
         (["grid", "--budget", "two", "--p", "0.1,0.5"], "budget", "two"),
-        (["stats", "--stats_repeats", "none"], "stats_repeats", "none"),
-        (["stats", "--stats_repeats", "2.5"], "stats_repeats", "2.5"),
     ])
     def test_bad_verb_option_names_its_key(self, argv, key, raw):
         with pytest.raises(ValueError, match=f"--{key}: expected int, got {raw!r}"):
@@ -811,8 +872,6 @@ class TestCli:
         (["ulf", "--budget", "3"], "budget", "grid"),
         (["stats", "--budget", "none"], "budget", "grid"),
         (["synth", "--budget", "1"], "budget", "grid"),
-        (["grid", "--stats_repeats", "2", "--p", "0.1,0.5"], "stats_repeats", "stats"),
-        (["baseline", "--stats_repeats", "2"], "stats_repeats", "stats"),
     ])
     def test_option_of_another_verb_rejected(self, monkeypatch, argv, key, owner):
         monkeypatch.setattr(cli, "run", lambda cfg: pytest.fail("ran"))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from wsdenoise.confidence import NO_LABEL
 from wsdenoise.corpus import LabelVector, majority_vote
+from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.synth import SynthConfig, generate, inject_label_noise
 from wsdenoise.wscl import (
@@ -17,6 +18,7 @@ from wsdenoise.wscl import (
 )
 
 from conftest import echo_stub, gold_stub
+from reference import ref_wscl
 
 
 class TestClassConfidentJoint:
@@ -235,3 +237,34 @@ class TestRunWscl:
     def test_nan_lambda_rate_rejected(self):
         with pytest.raises(ValueError, match="lambda_rate must be nonnegative"):
             WsclConfig(lambda_rate=float("nan"))
+
+
+class TestAgainstReference:
+    """``run_wscl`` equals ``reference.ref_wscl``, the sample-by-sample loop, bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(20, 80), num_classes=st.integers(2, 3), k=st.integers(2, 4),
+           strategy=st.sampled_from(["by_lf", "by_signature"]),
+           lambda_rate=st.sampled_from([0.0, 0.5]), rewired=st.booleans(),
+           words=st.integers(0, 20), min_df=st.integers(1, 2), epochs=st.integers(1, 3),
+           batch_size=st.sampled_from([4, 32]), lr=st.sampled_from([0.05, 0.5, 50.0]),
+           l2=st.sampled_from([0.0, 1e-3, 1.0]), seed=st.integers(0, 2**16))
+    def test_run_wscl_equals_the_loop(self, n, num_classes, k, strategy, lambda_rate, rewired,
+                                      words, min_df, epochs, batch_size, lr, l2, seed):
+        ds, _ = generate(SynthConfig(n_samples=n, n_classes=num_classes, n_lfs=6,
+                                     misallocated_lfs=[(0, 1)] if rewired else [],
+                                     words_per_doc=words, seed=seed))
+        cfg = WsclConfig(k=k, strategy=strategy, lambda_rate=lambda_rate, seed=seed,
+                         clf=ClassifierConfig(learning_rate=lr, epochs=epochs,
+                                              batch_size=batch_size, l2=l2, seed=seed),
+                         feat=FeaturizeConfig(min_df=min_df))
+        try:
+            keep, report = ref_wscl(ds, cfg)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                run_wscl(ds, cfg, train_final=False)
+            assert str(info.value) == str(exc)
+            return
+        res = run_wscl(ds, cfg, train_final=False)
+        assert res.keep_mask.tobytes() == keep.tobytes()
+        assert res.prune_report == report

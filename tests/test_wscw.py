@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdenoise.corpus import LabelVector, majority_vote
+from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import train_text_model
 from wsdenoise.synth import SynthConfig, generate, inject_label_noise
 from wsdenoise.wscw import WscwConfig, run_wscw
 
 from conftest import echo_stub, gold_stub
+from reference import ref_wscw
 
 
 class TestRunWscw:
@@ -74,3 +78,34 @@ class TestRunWscw:
         w1, _ = run_wscw(ds, cfg, train_final=False)
         w2, _ = run_wscw(ds, cfg, train_final=False)
         assert (w1.flags == w2.flags).all()
+
+
+class TestAgainstReference:
+    """``run_wscw`` equals ``reference.ref_wscw``, the sample-by-sample loop, bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(20, 80), num_classes=st.integers(2, 3), k=st.integers(2, 4),
+           partitions=st.integers(1, 2), epsilon=st.sampled_from([0.3, 0.7, 1.0]),
+           rewired=st.booleans(), words=st.integers(0, 20), min_df=st.integers(1, 2),
+           epochs=st.integers(1, 3), batch_size=st.sampled_from([4, 32]),
+           lr=st.sampled_from([0.05, 0.5, 50.0]), l2=st.sampled_from([0.0, 1e-3, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_run_wscw_equals_the_loop(self, n, num_classes, k, partitions, epsilon, rewired,
+                                      words, min_df, epochs, batch_size, lr, l2, seed):
+        ds, _ = generate(SynthConfig(n_samples=n, n_classes=num_classes, n_lfs=6,
+                                     misallocated_lfs=[(0, 1)] if rewired else [],
+                                     words_per_doc=words, seed=seed))
+        cfg = WscwConfig(k=k, partitions=partitions, epsilon=epsilon, seed=seed,
+                         clf=ClassifierConfig(learning_rate=lr, epochs=epochs,
+                                              batch_size=batch_size, l2=l2, seed=seed),
+                         feat=FeaturizeConfig(min_df=min_df))
+        try:
+            w, flags = ref_wscw(ds, cfg)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                run_wscw(ds, cfg, train_final=False)
+            assert str(info.value) == str(exc)
+            return
+        weights, _ = run_wscw(ds, cfg, train_final=False)
+        assert weights.w.tobytes() == w.tobytes()
+        assert weights.flags.tobytes() == flags.tobytes()

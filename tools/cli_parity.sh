@@ -17,15 +17,18 @@
 # each fold group (--strategy rndm --lambda_rate 2 --patience 2 --lr 8
 # --iters 2), wscw, wscw with ulf settings it does not read (--p 0.3 --iters 2),
 # so their record in config.txt is compared too, wscl by signature and by LF,
-# wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3, and a
+# wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3, a
 # wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
-# recorded fold failure is compared too.  One more ulf run (--iters 2) has no
-# held-out split and is scored on training gold, so the null-dev form of
-# metrics.json is compared too.  The `stats` verb's output is written into the
-# directory five times: with gold and `--stats_repeats 3`, without gold, and
-# for the rewired and the two word-draw datasets.  It then compares the two
-# directories with `diff -r`, ignoring timing.json, the one file that holds
-# wall-clock times.
+# recorded fold failure is compared too, and a wscw grid over
+# --epsilon 0.5,0.8,1.0 with --budget 2, so the budget's seeded choice of points
+# is compared too.  The metrics' other branches are compared through a
+# baseline scored by --metric macro_f1 and a wscl run scored by
+# --metric binary_f1.  One more ulf run (--iters 2) has no held-out split and is
+# scored on training gold, so the null-dev form of metrics.json is compared
+# too.  The `stats` verb's output is written into the directory five times:
+# with gold, without gold, and for the rewired and the two word-draw datasets.
+# It then compares the two directories with `diff -r`, ignoring timing.json,
+# the one file that holds wall-clock times.
 # Exit status: 0 when they are identical, 1 on any difference (the directories
 # are kept for inspection), 2 on bad use.
 set -euo pipefail
@@ -57,7 +60,7 @@ run_all() {  # run_all CHECKOUT OUT_DIR
               --test_doc_path test/docs.tsv --test_gold_path test/gold.tsv
               --repeats 2 --dump_folds true)
     mkdir -p stats
-    cli stats "${train[@]}" --gold_path data/gold.tsv --stats_repeats 3 > stats/with_gold.json
+    cli stats "${train[@]}" --gold_path data/gold.tsv > stats/with_gold.json
     cli stats "${train[@]}" > stats/without_gold.json
     local name
     for name in misallocated one_word_pools blocks; do
@@ -65,6 +68,7 @@ run_all() {  # run_all CHECKOUT OUT_DIR
             --gold_path $name/gold.tsv > stats/$name.json
     done
     wsd baseline "${io[@]}" --out_dir runs/baseline
+    wsd baseline "${io[@]}" --metric macro_f1 --out_dir runs/baseline_macro_f1
     wsd ulf "${io[@]}" --iters 3 --out_dir runs/ulf
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
     wsd ulf "${io[@]}" --strategy rndm --lambda_rate 2 --patience 2 --lr 8 --iters 2 \
@@ -74,8 +78,10 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
     wsd wscl "${io[@]}" --lambda_rate 1 --out_dir runs/wscl_lambda
+    wsd wscl "${io[@]}" --metric binary_f1 --out_dir runs/wscl_binary_f1
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
+    wsd grid --method wscw "${io[@]}" --epsilon 0.5,0.8,1.0 --budget 2 --out_dir runs/grid_wscw
     wsd ulf "${train[@]}" --gold_path data/gold.tsv --repeats 2 --iters 2 --out_dir runs/ulf_gold
 }
 
