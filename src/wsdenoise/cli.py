@@ -3,8 +3,9 @@
 Verbs: ``stats``, ``baseline``, ``ulf``, ``wscw``, ``wscl``, ``grid``,
 ``synth``.  Each takes ``--config FILE`` (flat ``key=value`` lines, ``#``
 comments) plus ``--key value`` / ``--key=value`` overrides whose names equal
-the config field names.  For ``grid``, any hyperparameter whose value is a
-comma-separated list defines a grid axis.
+the config field names.  For ``grid``, any int or float setting whose value
+is a comma-separated list defines a grid axis.  ``stats`` reads only the four
+input paths and rejects every other setting.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from wsdenoise.harness import RunConfig, grid_search, run
 from wsdenoise.synth import SynthConfig, generate
 
 VERBS = ("stats", "baseline", "ulf", "wscw", "wscl", "grid", "synth")
-GRIDABLE = {"p", "lr", "k", "iters", "lambda_rate", "epochs", "epsilon",
-            "partitions", "l2", "batch_size", "stall_patience"}
+STATS_KEYS = ("doc_path", "z_path", "t_path", "gold_path")  # all that ``stats`` reads
 
 
 def parse_config_file(path: str) -> dict:
@@ -104,11 +104,11 @@ def _build(cls, values: dict, **fixed):
 
 
 def _build_grid(values: dict):
-    """Split comma-valued hyperparameters into a grid space."""
+    """Split comma-valued int and float settings into a grid space."""
     space = {}
     scalars = {}
     for key, raw in values.items():
-        if key in GRIDABLE and "," in raw:
+        if "," in raw and key in _RUN_TYPES and _RUN_TYPES[key][0] in (int, float):
             space[key] = [_coerce(key, v, _RUN_TYPES) for v in raw.split(",")]
         else:
             scalars[key] = raw
@@ -161,6 +161,9 @@ def main(argv=None) -> int:
         raise ValueError(f"--method {method!r} disagrees with the {ns.verb} verb")
 
     if ns.verb == "stats":
+        if unread := [key for key in values if key not in STATS_KEYS]:
+            raise ValueError(f"the stats verb does not take --{unread[0]}; "
+                             f"it reads only {', '.join(STATS_KEYS)}")
         cfg = _build(RunConfig, values, method=method)
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
         print(json.dumps(dataset_stats(ds), indent=1, sort_keys=True))

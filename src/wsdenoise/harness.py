@@ -38,7 +38,7 @@ from wsdenoise.corpus import (
 )
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, evidence_memo, finish
+from wsdenoise.pipeline import DenoiseResult, FoldConfig, evidence_memo, finish
 from wsdenoise.seeding import derive_seed
 from wsdenoise.ulf import UlfConfig, run_ulf
 from wsdenoise.wscl import WsclConfig, run_wscl
@@ -74,12 +74,12 @@ class RunConfig:
     seed: int = 0
     repeats: int = 1
     metric: str = "accuracy"
-    # ULF
+    # ULF, and the k-fold k and lambda_rate (field order is config.txt's line order)
     p: float = UlfConfig.p
-    k: int = UlfConfig.k
+    k: int = FoldConfig.k
     iters: int = UlfConfig.max_iters
     stall_patience: int = UlfConfig.stall_patience
-    lambda_rate: float = UlfConfig.lambda_rate
+    lambda_rate: float = FoldConfig.lambda_rate
     # WSCW
     partitions: int = WscwConfig.partitions
     epsilon: float = WscwConfig.epsilon
@@ -114,19 +114,17 @@ class RunConfig:
 
         Building it checks every setting that method reads; ``ulf`` and ``wscw`` read them all.
         """
-        clf, feat = self.classifier_config(seed), self.featurize_config()
-        strategy = STRATEGY_ALIASES[self.strategy]
+        shared = dict(k=self.k, seed=seed, clf=self.classifier_config(seed),
+                      feat=self.featurize_config())
+        planned = dict(strategy=STRATEGY_ALIASES[self.strategy], lambda_rate=self.lambda_rate)
         method = method or self.method
         if method == "ulf":
-            return UlfConfig(p=self.p, k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
-                             max_iters=self.iters, stall_patience=self.stall_patience,
-                             seed=seed, clf=clf, feat=feat)
+            return UlfConfig(p=self.p, max_iters=self.iters, stall_patience=self.stall_patience,
+                             **planned, **shared)
         if method == "wscl":
-            return WsclConfig(k=self.k, strategy=strategy, lambda_rate=self.lambda_rate,
-                              seed=seed, clf=clf, feat=feat)
+            return WsclConfig(**planned, **shared)
         if method == "wscw":
-            return WscwConfig(k=self.k, partitions=self.partitions, epsilon=self.epsilon,
-                              seed=seed, clf=clf, feat=feat)
+            return WscwConfig(partitions=self.partitions, epsilon=self.epsilon, **shared)
         return None
 
     def classifier_config(self, seed: int) -> ClassifierConfig:

@@ -2,10 +2,11 @@
 
 All three methods run weak labels -> fold plan -> out-of-sample
 probabilities -> class thresholds -> confident labels, then a repair of their
-own.  ``oos_evidence`` is that common stage, ``DenoiseResult`` the one result
-type every method is reported as, and ``finish`` the last step, which builds
-that result and trains the ``TextModel`` (a vocabulary plus a classifier) on
-the repaired labels.  ``evidence_memo`` scopes the reuse of out-of-sample
+own.  ``oos_evidence`` is that common stage and ``FoldConfig`` its settings,
+which each method's config extends.  ``DenoiseResult`` is the one result type
+every method is reported as, and ``finish`` the last step, which builds that
+result and trains the ``TextModel`` (a vocabulary plus a classifier) on the
+repaired labels.  ``evidence_memo`` scopes the reuse of out-of-sample
 probabilities between ``oos_evidence`` calls whose fold fits would be
 identical.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from wsdenoise.confidence import class_thresholds, confident_labels
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
-from wsdenoise.crossval import FoldPlan, OOSProbs, build_plan, estimate_oos
+from wsdenoise.crossval import STRATEGIES, FoldPlan, OOSProbs, build_plan, estimate_oos
 from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_rows, transform
 from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train
 
@@ -28,6 +29,28 @@ from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train
 # None outside an ``evidence_memo`` block
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("evidence_memo",
                                                                     default=None)
+
+
+@dataclass
+class FoldConfig:
+    """The k-fold settings and checks of every method's config; ``seed`` is its master seed."""
+
+    k: int = 5
+    strategy: str = "by_signature"
+    lambda_rate: float = 0.0
+    seed: int = 0
+    clf: ClassifierConfig = field(default_factory=ClassifierConfig)
+    feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if not self.lambda_rate >= 0:
+            raise ValueError("lambda_rate must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -110,14 +133,14 @@ def evidence_memo():
         _MEMO.reset(token)
 
 
-def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
-                 lambda_rate: float, plan_seed: int, clf: ClassifierConfig, clf_seed: int,
-                 feat: FeaturizeConfig) -> tuple[FoldPlan, OOSProbs, np.ndarray, np.ndarray]:
+def oos_evidence(ds: WeakDataset, labels: LabelVector, cfg: FoldConfig, plan_seed: int,
+                 clf_seed: int) -> tuple[FoldPlan, OOSProbs, np.ndarray, np.ndarray]:
     """Plan folds, estimate out-of-sample probabilities, and read confident labels off them.
 
-    The plan is seeded by ``plan_seed``; fold models train with ``clf`` under
-    ``clf_seed``.  Returns the plan, the probabilities, and two arrays: K class
-    thresholds judged against ``labels`` and N int64 confident labels.
+    The plan follows ``cfg``'s strategy, k and lambda under ``plan_seed``; fold
+    models train with ``cfg.clf`` under ``clf_seed`` on ``cfg.feat`` features.
+    Returns the plan, the probabilities, and two arrays: K class thresholds
+    judged against ``labels`` and N int64 confident labels.
 
     A fold fit is a pure function of its inputs.  Inside an
     ``evidence_memo`` block, a call whose stage key (strategy, k, lambda,
@@ -125,20 +148,21 @@ def oos_evidence(ds: WeakDataset, labels: LabelVector, strategy: str, k: int,
     dataset match the previous estimate under that key, and whose labels are
     equal to its labels, reuses its probabilities instead of refitting the
     folds; the plan, thresholds and confident labels are recomputed.  A
-    miss estimates as usual and replaces the entry, so the memo holds at
-    most one labels copy and one ``OOSProbs``, about N x (K + 2) x 8 bytes,
-    per stage key.  Cached arrays are read-only.
+    method's own settings, ULF's ``p`` say, are not in the key.  A miss
+    estimates as usual and replaces the entry, so the memo holds at most one
+    labels copy and one ``OOSProbs``, about N x (K + 2) x 8 bytes, per stage
+    key.  Cached arrays are read-only.
     """
-    plan = build_plan(ds, strategy, k, lambda_rate, plan_seed)
-    clf = replace(clf, seed=clf_seed)
+    plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate, plan_seed)
+    clf = replace(cfg.clf, seed=clf_seed)
     memo = _MEMO.get()
     y = as_labels(labels)
-    key = (strategy, k, lambda_rate, plan_seed, astuple(clf), astuple(feat))
+    key = (cfg.strategy, cfg.k, cfg.lambda_rate, plan_seed, astuple(clf), astuple(cfg.feat))
     entry = memo.get(key) if memo is not None else None
     if entry is not None and entry[0] is ds and np.array_equal(entry[1], y):
         probs = entry[2]
     else:
-        probs = estimate_oos(ds, labels, plan, feat, clf)
+        probs = estimate_oos(ds, labels, plan, cfg.feat, clf)
         if memo is not None:
             y = y.copy()
             for a in (y, probs.probs, probs.prediction_count):

@@ -10,49 +10,33 @@ keep randomly initialized labels that are upgraded from the out-of-sample
 probabilities after each refinement and carried into the next iteration.
 The loop stops early once the label vector stays unchanged for a configured
 number of consecutive iterations; the final classifier is trained on all
-samples with the last label vector.
+samples with the last label vector.  ``UlfConfig`` adds p and the loop's limits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from wsdenoise.confidence import NO_LABEL, calibrate_rows
 from wsdenoise.corpus import LabelVector, WeakDataset, majority_vote
-from wsdenoise.crossval import STRATEGIES
-from wsdenoise.featurize import FeaturizeConfig
-from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, finish, oos_evidence
+from wsdenoise.pipeline import DenoiseResult, FoldConfig, finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
 @dataclass
-class UlfConfig:
+class UlfConfig(FoldConfig):
     p: float = 0.5                       # mixing coefficient toward the estimated joint
-    k: int = 5
-    strategy: str = "by_signature"
-    lambda_rate: float = 0.0
     max_iters: int = 20
     stall_patience: int = 3
-    seed: int = 0
-    clf: ClassifierConfig = field(default_factory=ClassifierConfig)
-    feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        super().__post_init__()
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if not self.lambda_rate >= 0:
-            raise ValueError("lambda_rate must be nonnegative")
         if self.max_iters < 1 or self.stall_patience < 1:
             raise ValueError("max_iters and stall_patience must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def lf_confident_matrix(ds: WeakDataset, conf: np.ndarray) -> np.ndarray:
@@ -117,10 +101,9 @@ def run_ulf(ds: WeakDataset, cfg: UlfConfig, train_final: bool = True) -> Denois
 
     for it in range(1, cfg.max_iters + 1):
         try:
-            plan, probs, th, conf = oos_evidence(
-                ds, train_labels, cfg.strategy, cfg.k, cfg.lambda_rate,
-                derive_seed(cfg.seed, 200, it), cfg.clf, derive_seed(cfg.seed, 300, it),
-                cfg.feat)
+            plan, probs, th, conf = oos_evidence(ds, train_labels, cfg,
+                                                 derive_seed(cfg.seed, 200, it),
+                                                 derive_seed(cfg.seed, 300, it))
             counts = lf_confident_matrix(ds, conf)
             q = calibrate(counts, ds)
             t_hat = refine_t(t_hat, q, cfg.p)

@@ -6,20 +6,19 @@ joint is calibrated row-wise to the weak-label class counts by the rule ULF's
 LF rows follow too (``confidence.calibrate_rows``) and normalized by N, then
 each off-diagonal cell (i, j) prunes round(N * q[i][j]) samples with weak
 label i, ranked by the probability margin p(j) - p(i).  Pruned samples are
-excluded from final training; nothing is relabeled.
+excluded from final training; nothing is relabeled.  ``WsclConfig`` refuses
+random plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from wsdenoise.confidence import NO_LABEL, calibrate_rows
 from wsdenoise.corpus import WeakDataset, as_labels, majority_vote
-from wsdenoise.featurize import FeaturizeConfig
-from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, finish, oos_evidence
+from wsdenoise.pipeline import DenoiseResult, FoldConfig, finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
@@ -31,23 +30,11 @@ class PruneMask:
 
 
 @dataclass
-class WsclConfig:
-    k: int = 5
-    strategy: str = "by_signature"   # by_lf or by_signature
-    lambda_rate: float = 0.0
-    seed: int = 0
-    clf: ClassifierConfig = field(default_factory=ClassifierConfig)
-    feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
-
+class WsclConfig(FoldConfig):
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
         if self.strategy not in ("by_lf", "by_signature"):
             raise ValueError("strategy must be 'by_lf' or 'by_signature'")
-        if not self.lambda_rate >= 0:
-            raise ValueError("lambda_rate must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        super().__post_init__()
 
 
 def class_confident_joint(noisy, conf: np.ndarray, num_classes: int) -> np.ndarray:
@@ -117,9 +104,8 @@ def run_wscl(ds: WeakDataset, cfg: WsclConfig, train_final: bool = True,
     """
     if noisy is None:
         noisy = majority_vote(ds, ds.t, cfg.seed)
-    plan, probs, _, conf = oos_evidence(
-        ds, noisy, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600),
-        cfg.clf, derive_seed(cfg.seed, 700), cfg.feat)
+    plan, probs, _, conf = oos_evidence(ds, noisy, cfg, derive_seed(cfg.seed, 600),
+                                        derive_seed(cfg.seed, 700))
     joint = class_confident_joint(noisy, conf, ds.num_classes)
     q = calibrate_joint(joint, noisy)
     mask = prune(q, probs.probs, noisy)

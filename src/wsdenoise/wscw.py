@@ -4,7 +4,8 @@ For each of ``partitions`` rounds, LFs are split into k folds and a model is
 trained per fold on the samples whose signatures avoid the held-out LFs.
 A sample whose out-of-sample hard prediction disagrees with its weak label
 collects a flag; its final training weight is ``epsilon ** flags``.
-Unmatched samples are never flagged.
+Unmatched samples are never flagged.  ``WscwConfig`` fixes by-LF plans with
+lambda 0, which admit no unmatched sample to training.
 """
 
 from __future__ import annotations
@@ -14,30 +15,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wsdenoise.corpus import WeakDataset, majority_vote
-from wsdenoise.featurize import FeaturizeConfig
-from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import finish, oos_evidence
+from wsdenoise.pipeline import FoldConfig, finish, oos_evidence
 from wsdenoise.seeding import derive_seed
 
 
 @dataclass
-class WscwConfig:
-    k: int = 5
+class WscwConfig(FoldConfig):
+    strategy: str = field(default="by_lf", init=False)     # CrossWeigh splits the LFs
+    lambda_rate: float = field(default=0.0, init=False)
     partitions: int = 3
     epsilon: float = 0.7     # per-flag weight multiplier
-    seed: int = 0
-    clf: ClassifierConfig = field(default_factory=ClassifierConfig)
-    feat: FeaturizeConfig = field(default_factory=FeaturizeConfig)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        super().__post_init__()
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -62,9 +56,8 @@ def run_wscw(ds: WeakDataset, cfg: WscwConfig, train_final: bool = True,
     flags = np.zeros(ds.n_samples, dtype=np.int64)
 
     for part in range(cfg.partitions):
-        plan, probs, _, _ = oos_evidence(
-            ds, noisy, "by_lf", cfg.k, 0.0, derive_seed(cfg.seed, 400, part),
-            cfg.clf, derive_seed(cfg.seed, 500, part), cfg.feat)
+        plan, probs, _, _ = oos_evidence(ds, noisy, cfg, derive_seed(cfg.seed, 400, part),
+                                         derive_seed(cfg.seed, 500, part))
         pred = np.argmax(probs.probs, axis=1)
         flags += ((pred != noisy.labels) & matched).astype(np.int64)
         if collect_audit is not None:

@@ -10,11 +10,12 @@ one ``ref_train`` fit and one prediction per fold, then a per-sample mean.
 ``crossval.estimate_oos``, which trains its folds in groups, must return the
 same probabilities bit for bit.
 
-``ref_wscl`` and ``ref_wscw`` are the two reweighting methods as plain loops
-over their equations: thresholds, confident labels, the confident joint and
-its calibration, pruning, and CrossWeigh's flags and weights are written out
-again, sample by sample.  Each reads its evidence from ``ref_estimate_oos`` on
-the method's own plan and classifier seeds.  ``wscl.run_wscl`` and
+``ref_ulf``, ``ref_wscl`` and ``ref_wscw`` are the three methods as plain
+loops over their equations: thresholds, confident labels, ULF's LF-to-class
+counts, their calibration and the mixed mapping, the confident joint,
+pruning, and CrossWeigh's flags and weights are written out again, sample by
+sample.  Each reads its evidence from ``ref_estimate_oos`` on the method's own
+plan and classifier seeds.  ``ulf.run_ulf``, ``wscl.run_wscl`` and
 ``wscw.run_wscw`` must reproduce them bit for bit.
 
 ``ref_generate`` is ``synth.generate`` with the per-word loop it had before
@@ -33,6 +34,7 @@ from wsdenoise.featurize import FeaturizeConfig, fit_rows, transform_rows
 from wsdenoise.linear import ClassifierConfig, Model, predict_proba
 from wsdenoise.seeding import derive_seed
 from wsdenoise.synth import SynthConfig
+from wsdenoise.ulf import UlfConfig
 from wsdenoise.wscl import WsclConfig
 from wsdenoise.wscw import WscwConfig
 
@@ -117,33 +119,92 @@ def ref_estimate_oos(ds: WeakDataset, labels, plan: FoldPlan, feat: FeaturizeCon
     return OOSProbs(acc / cnt[:, None], cnt)
 
 
-def ref_wscl(ds: WeakDataset, cfg: WsclConfig) -> tuple[np.ndarray, dict]:
-    """Confident Learning's prune step, sample by sample: the keep mask and the prune report.
+def _ref_confident(probs: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    """Each sample's confident label, or -1 when no class clears its threshold.
 
     Class j's threshold is the mean probability of j over the samples voted j,
     or 1/K when none is.  A sample's confident label is its most probable class
-    among those at or above their threshold, the lowest on a tie.  The joint
-    counts (vote, confident label) pairs; row i is scaled to the number of
-    class-i votes, then all of it divided by N.  Cell (i, j), i != j, in
-    row-major order, prunes the round-half-up N * q[i, j] samples voted i and
-    not yet pruned with the largest p(j) - p(i), the lower id first on a tie.
+    among those at or above their threshold, the lowest on a tie.
+    """
+    n, k = probs.shape
+    voted = [np.flatnonzero(noisy == j) for j in range(k)]
+    threshold = [probs[v, j].mean() if v.size else 1.0 / k for j, v in enumerate(voted)]
+    conf = np.full(n, -1, dtype=np.int64)
+    for s in range(n):
+        clear = [j for j in range(k) if probs[s, j] >= threshold[j]]
+        if clear:
+            conf[s] = max(clear, key=lambda j: (probs[s, j], -j))
+    return conf
+
+
+def ref_ulf(ds: WeakDataset, cfg: UlfConfig) -> tuple[np.ndarray, np.ndarray]:
+    """ULF's refinement loop, LF by LF: the final vote and the refined mapping t_hat.
+
+    Iteration ``it`` plans folds under ``derive_seed(seed, 200, it)`` and trains
+    them under ``derive_seed(seed, 300, it)`` on the training labels.  C[l, j]
+    counts the samples LF l matches whose confident label is j.  A nonzero row
+    of C is scaled to LF l's match count, giving Q[l], and t_hat[l] becomes
+    p * Q[l] / sum(Q[l]) + (1 - p) * t_hat[l].  The vote on t_hat is seeded with
+    the master seed at iteration 1 and ``derive_seed(seed, 100, it)`` after it.
+    Unmatched samples keep their training labels in the vote, then adopt their
+    confident label, if any, for the next iteration's training labels.  The
+    loop stops once ``stall_patience`` votes in a row equal the one before.
+    """
+    z = ds.z.toarray()
+    unmatched = ~z.any(axis=1)
+    t_hat = np.array(ds.t, dtype=float)
+    final = train = majority_vote(ds, t_hat, cfg.seed).labels
+    stall = 0
+    for it in range(1, cfg.max_iters + 1):
+        try:
+            plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate,
+                              derive_seed(cfg.seed, 200, it))
+            probs = ref_estimate_oos(ds, train, plan, cfg.feat,
+                                     replace(cfg.clf, seed=derive_seed(cfg.seed, 300, it))).probs
+        except (RuntimeError, ValueError) as exc:
+            raise RuntimeError(f"ULF iteration {it}: {exc}") from exc
+        conf = _ref_confident(probs, train)
+        c = np.zeros((ds.n_lfs, ds.num_classes), dtype=np.int64)
+        for s in np.flatnonzero(conf >= 0):
+            for l in np.flatnonzero(z[s]):
+                c[l, conf[s]] += 1
+        for l in range(ds.n_lfs):
+            if c[l].sum() > 0:
+                q = c[l] * (float(z[:, l].sum()) / float(c[l].sum()))
+                t_hat[l] = cfg.p * (q / q.sum()) + (1.0 - cfg.p) * t_hat[l]
+        vote_seed = cfg.seed if it == 1 else derive_seed(cfg.seed, 100, it)
+        vote = majority_vote(ds, t_hat, vote_seed).labels
+        vote[unmatched] = train[unmatched]
+        stall = stall + 1 if (vote == final).all() else 0
+        train = np.where(unmatched & (conf >= 0), conf, vote)
+        final = vote
+        if stall >= cfg.stall_patience:
+            break
+    return final, t_hat
+
+
+def ref_wscl(ds: WeakDataset, cfg: WsclConfig) -> tuple[np.ndarray, dict]:
+    """Confident Learning's prune step, sample by sample: the keep mask and the prune report.
+
+    Confident labels are those of ``_ref_confident``.  The joint counts
+    (vote, confident label) pairs; row i is scaled to the number of class-i
+    votes, then all of it divided by N.  Cell (i, j), i != j, in row-major
+    order, prunes the round-half-up N * q[i, j] samples voted i and not yet
+    pruned with the largest p(j) - p(i), the lower id first on a tie.
     """
     noisy = majority_vote(ds, ds.t, cfg.seed).labels
     plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600))
     probs = ref_estimate_oos(ds, noisy, plan, cfg.feat,
                              replace(cfg.clf, seed=derive_seed(cfg.seed, 700))).probs
     n, k = probs.shape
-    voted = [np.flatnonzero(noisy == j) for j in range(k)]
-    threshold = [probs[v, j].mean() if v.size else 1.0 / k for j, v in enumerate(voted)]
+    conf = _ref_confident(probs, noisy)
     joint = np.zeros((k, k), dtype=np.int64)
-    for s in range(n):
-        clear = [j for j in range(k) if probs[s, j] >= threshold[j]]
-        if clear:
-            joint[noisy[s], max(clear, key=lambda j: (probs[s, j], -j))] += 1
+    for s in np.flatnonzero(conf >= 0):
+        joint[noisy[s], conf[s]] += 1
     q = np.zeros((k, k))
     for i in range(k):
         if joint[i].sum() > 0:
-            q[i] = joint[i] * (float(voted[i].size) / float(joint[i].sum()))
+            q[i] = joint[i] * (float((noisy == i).sum()) / float(joint[i].sum()))
     q /= n
     pruned = np.zeros(n, dtype=bool)
     counts, shortfall = np.zeros((k, k), dtype=np.int64), np.zeros((k, k), dtype=np.int64)

@@ -8,10 +8,9 @@ import pytest
 
 from wsdenoise import harness, pipeline
 from wsdenoise.corpus import majority_vote
-from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.harness import RunConfig, grid_search, run
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import evidence_memo, oos_evidence
+from wsdenoise.pipeline import FoldConfig, evidence_memo, oos_evidence
 from wsdenoise.synth import SynthConfig, generate
 
 
@@ -87,7 +86,7 @@ def test_plain_run_fits_every_partition_of_every_repeat(tmp_path, monkeypatch):
 
 
 def _evidence_args(ds, labels):
-    return (ds, labels, "by_lf", 3, 0.0, 1, ClassifierConfig(epochs=2), 2, FeaturizeConfig())
+    return ds, labels, FoldConfig(k=3, strategy="by_lf", clf=ClassifierConfig(epochs=2)), 1, 2
 
 
 def test_a_hit_needs_the_same_dataset_and_equal_labels(monkeypatch):

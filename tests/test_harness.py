@@ -19,6 +19,7 @@ from wsdenoise.harness import (
     run,
 )
 from wsdenoise.linear import ClassifierConfig
+from wsdenoise.pipeline import FoldConfig
 from wsdenoise.synth import SynthConfig, generate
 from wsdenoise.ulf import UlfConfig
 from wsdenoise.wscl import WsclConfig
@@ -178,6 +179,12 @@ class TestRunConfig:
         split = given.split("_")[0]
         with pytest.raises(ValueError, match=f"needs both {split}_doc_path and {split}_gold_path"):
             RunConfig(**{given: "x.tsv"})
+
+    def test_k_fold_defaults_are_fold_configs(self):
+        cfg = RunConfig()
+        assert (cfg.k, cfg.lambda_rate) == (FoldConfig.k, FoldConfig.lambda_rate)
+        for method in ("ulf", "wscl", "wscw"):
+            assert cfg.method_config(0, method).k == FoldConfig.k
 
     def test_method_config_per_method(self):
         assert RunConfig(method="baseline_majority").method_config(3) is None
@@ -766,16 +773,26 @@ class TestCli:
             self._synth(tmp_path / "neg", seed=-5)
         assert not (tmp_path / "neg").exists()
 
-    def test_stats_takes_no_repeats_and_reads_no_seed(self, tmp_path, capsys):
+    def _stats_rejects(self, monkeypatch, key, value):
+        monkeypatch.setattr(cli, "load_dataset", lambda *a: pytest.fail("loaded"))
+        with pytest.raises(ValueError, match=f"the stats verb does not take --{key}; "
+                                             "it reads only doc_path, z_path, t_path, gold_path"):
+            cli.main(["stats", "--doc_path", "d", "--z_path", "z", "--t_path", "t",
+                      f"--{key}", value])
+
+    def test_stats_takes_no_repeats_and_reads_no_seed(self, monkeypatch):
+        self._stats_rejects(monkeypatch, "stats_repeats", "3")
+        self._stats_rejects(monkeypatch, "seed", "9")
+
+    @pytest.mark.parametrize("key, value", [("lr", "0"), ("out_dir", "runs/x"), ("k", "3")])
+    def test_stats_rejects_a_setting_it_does_not_read(self, monkeypatch, key, value):
+        self._stats_rejects(monkeypatch, key, value)
+
+    def test_stats_takes_its_paths_and_its_own_method(self, tmp_path, capsys):
         data = self._synth(tmp_path)
-        with pytest.raises(ValueError, match="unknown config key 'stats_repeats'"):
-            cli.main(["stats", *self._data_args(data), "--stats_repeats", "3"])
         capsys.readouterr()
-        outs = []
-        for seed in ("0", "9"):
-            assert cli.main(["stats", *self._data_args(data), "--seed", seed]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
+        assert cli.main(["stats", *self._data_args(data), "--method", "baseline_majority"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 150
 
     def test_empty_test_split_keeps_the_previous_run(self, tmp_path):
         data = self._synth(tmp_path)
@@ -824,6 +841,22 @@ class TestCli:
         assert cli.main(["grid", "--budget", raw, "--p", "0.1,0.5",
                          "--dev_doc_path", "d", "--dev_gold_path", "g"]) == 0
         assert seen == {"budget": budget}
+
+    @pytest.mark.parametrize("key, raw, axis", [
+        ("patience", "2,5", [2, 5]), ("min_df", "1,2", [1, 2]),
+        ("max_features", "20,none", [20, None]),
+    ])
+    def test_every_int_or_float_setting_is_a_grid_axis(self, monkeypatch, key, raw, axis):
+        seen = {}
+
+        def fake_grid_search(base, space, budget=None):
+            seen.update(space=space, out_dir=base.out_dir)
+            return base, []
+        monkeypatch.setattr(cli, "grid_search", fake_grid_search)
+        assert cli.main(["grid", f"--{key}", raw, "--out_dir", "runs/a,b",
+                         "--dev_doc_path", "d", "--dev_gold_path", "g"]) == 0
+        # a comma in a string setting is part of its value
+        assert seen == {"space": {key: axis}, "out_dir": "runs/a,b"}
 
     @pytest.mark.parametrize("argv, key, raw", [
         (["grid", "--budget", "two", "--p", "0.1,0.5"], "budget", "two"),

@@ -1,11 +1,18 @@
-"""``pipeline.finish``: the last step every method shares, seen through a harness repeat."""
+"""The stages every method shares: ``FoldConfig``'s checks, and ``pipeline.finish`` seen
+through a harness repeat."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from wsdenoise import harness, pipeline
 from wsdenoise.harness import RunConfig
+from wsdenoise.pipeline import FoldConfig
 from wsdenoise.synth import SynthConfig, generate
+from wsdenoise.ulf import UlfConfig
+from wsdenoise.wscl import WsclConfig
+from wsdenoise.wscw import WscwConfig
 
 METHODS = ["baseline_majority", "ulf", "wscl", "wscw"]
 
@@ -14,6 +21,24 @@ METHODS = ["baseline_majority", "ulf", "wscl", "wscw"]
 def ds():
     return generate(SynthConfig(n_samples=150, seed=29, coverage_target=0.8,
                                 lf_precision=0.7))[0]
+
+
+@pytest.mark.parametrize("cls", [FoldConfig, UlfConfig, WsclConfig, WscwConfig])
+@pytest.mark.parametrize("key, value, match", [
+    ("k", 1, "k must be >= 2"),
+    ("strategy", "bogus", "strategy must be"),
+    ("lambda_rate", -1.0, "lambda_rate must be nonnegative"),
+    ("lambda_rate", float("nan"), "lambda_rate must be nonnegative"),
+    ("seed", -1, "seed must be >= 0"),
+])
+def test_every_method_config_runs_the_shared_checks(cls, key, value, match):
+    assert issubclass(cls, FoldConfig)
+    if key in {f.name for f in fields(cls) if f.init}:
+        with pytest.raises(ValueError, match=match):
+            cls(**{key: value})
+    else:  # a setting the method fixes cannot be given at all
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            cls(**{key: value})
 
 
 def _config(method):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdenoise.confidence import (
     NO_LABEL,
@@ -9,6 +11,7 @@ from wsdenoise.confidence import (
 )
 from wsdenoise.corpus import LabelVector, majority_vote
 from wsdenoise.crossval import plan_random, estimate_oos
+from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.ulf import (
     UlfConfig,
@@ -21,6 +24,7 @@ from wsdenoise.ulf import (
 from wsdenoise.synth import SynthConfig, generate
 
 from conftest import broken_stub, echo_stub, make_dataset, random_instance
+from reference import ref_ulf
 
 
 class TestLfConfidentMatrix:
@@ -238,3 +242,38 @@ class TestRunUlf:
         cfg = UlfConfig(k=3, max_iters=2, seed=0, strategy="random")
         with pytest.raises(RuntimeError, match="iteration 1"):
             run_ulf(ds, cfg, train_final=False)
+
+
+class TestAgainstReference:
+    """``run_ulf`` equals ``reference.ref_ulf``, the LF-by-LF loop, bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(20, 80), num_classes=st.integers(2, 3), k=st.integers(2, 4),
+           strategy=st.sampled_from(["random", "by_lf", "by_signature"]),
+           lambda_rate=st.sampled_from([0.0, 0.5]), p=st.sampled_from([0.0, 0.4, 1.0]),
+           max_iters=st.integers(1, 4), stall_patience=st.integers(1, 2),
+           rewired=st.booleans(), words=st.integers(0, 20), min_df=st.integers(1, 2),
+           epochs=st.integers(1, 3), batch_size=st.sampled_from([4, 32]),
+           lr=st.sampled_from([0.05, 0.5, 50.0]), l2=st.sampled_from([0.0, 1e-3, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_run_ulf_equals_the_loop(self, n, num_classes, k, strategy, lambda_rate, p,
+                                     max_iters, stall_patience, rewired, words, min_df,
+                                     epochs, batch_size, lr, l2, seed):
+        ds, _ = generate(SynthConfig(n_samples=n, n_classes=num_classes, n_lfs=6,
+                                     misallocated_lfs=[(0, 1)] if rewired else [],
+                                     words_per_doc=words, seed=seed))
+        cfg = UlfConfig(k=k, strategy=strategy, lambda_rate=lambda_rate, p=p,
+                        max_iters=max_iters, stall_patience=stall_patience, seed=seed,
+                        clf=ClassifierConfig(learning_rate=lr, epochs=epochs,
+                                             batch_size=batch_size, l2=l2, seed=seed),
+                        feat=FeaturizeConfig(min_df=min_df))
+        try:
+            labels, t_hat = ref_ulf(ds, cfg)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                run_ulf(ds, cfg, train_final=False)
+            assert str(info.value) == str(exc)
+            return
+        res = run_ulf(ds, cfg, train_final=False)
+        assert res.final_labels.labels.tobytes() == labels.tobytes()
+        assert res.refined_t.tobytes() == t_hat.tobytes()

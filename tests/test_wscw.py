@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,16 @@ from wsdenoise.wscw import WscwConfig, run_wscw
 
 from conftest import echo_stub, gold_stub
 from reference import ref_wscw
+
+
+class TestWscwConfig:
+    def test_plans_are_by_lf_without_unmatched_samples_and_cannot_be_changed(self):
+        cfg = WscwConfig()
+        assert (cfg.strategy, cfg.lambda_rate) == ("by_lf", 0.0)
+        with pytest.raises(TypeError, match="strategy"):
+            WscwConfig(strategy="random")
+        with pytest.raises(ValueError, match="lambda_rate"):
+            replace(cfg, lambda_rate=0.5)
 
 
 class TestRunWscw:

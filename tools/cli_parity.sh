@@ -15,9 +15,12 @@
 # --l2 0.001 --batch_size 7), ulf on random plans that admit unmatched samples
 # to training, with fold models stopping at different epochs, 3 to 20, inside
 # each fold group (--strategy rndm --lambda_rate 2 --patience 2 --lr 8
-# --iters 2), wscw, wscw with ulf settings it does not read (--p 0.3 --iters 2),
-# so their record in config.txt is compared too, wscl by signature and by LF,
-# wscl with --lambda_rate 1, a ulf grid over --p 0.3,0.7 x --iters 2,3, a
+# --iters 2), ulf with the settings no other run changes (--k 3 --min_df 2
+# --max_features 40 --stall_patience 1 --iters 4), wscw, wscw with --k 4
+# --partitions 2 --epsilon 0.5, wscw with ulf settings it does not read (--p 0.3
+# --iters 2), so their record in config.txt is compared too, wscl by signature
+# and by LF, wscl with --lambda_rate 1, wscl with every setting read from a
+# --config file, a ulf grid over --p 0.3,0.7 x --iters 2,3, a
 # wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
 # recorded fold failure is compared too, and a wscw grid over
 # --epsilon 0.5,0.8,1.0 with --budget 2, so the budget's seeded choice of points
@@ -73,12 +76,34 @@ run_all() {  # run_all CHECKOUT OUT_DIR
     wsd ulf "${io[@]}" --iters 3 --l2 0.001 --batch_size 7 --out_dir runs/ulf_l2
     wsd ulf "${io[@]}" --strategy rndm --lambda_rate 2 --patience 2 --lr 8 --iters 2 \
         --out_dir runs/ulf_rndm
+    wsd ulf "${io[@]}" --k 3 --min_df 2 --max_features 40 --stall_patience 1 --iters 4 \
+        --out_dir runs/ulf_k3
     wsd wscw "${io[@]}" --out_dir runs/wscw
+    wsd wscw "${io[@]}" --k 4 --partitions 2 --epsilon 0.5 --out_dir runs/wscw_k4
     wsd wscw "${io[@]}" --p 0.3 --iters 2 --out_dir runs/wscw_unread
     wsd wscl "${io[@]}" --strategy sgn --out_dir runs/wscl_sgn
     wsd wscl "${io[@]}" --strategy lfs --out_dir runs/wscl_lfs
     wsd wscl "${io[@]}" --lambda_rate 1 --out_dir runs/wscl_lambda
     wsd wscl "${io[@]}" --metric binary_f1 --out_dir runs/wscl_binary_f1
+    cat > wscl.cfg <<'CFG'
+# a wscl run whose every setting comes from this file
+doc_path=data/docs.tsv
+z_path=data/z.tsv
+t_path=data/t.tsv
+gold_path=data/gold.tsv
+dev_doc_path=dev/docs.tsv
+dev_gold_path=dev/gold.tsv
+test_doc_path=test/docs.tsv
+test_gold_path=test/gold.tsv
+repeats=2
+dump_folds=true
+strategy=lfs
+k=3
+lambda_rate=0.5
+seed=3
+out_dir=runs/wscl_config
+CFG
+    wsd wscl --config wscl.cfg
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
     wsd grid --method wscw "${io[@]}" --epsilon 0.5,0.8,1.0 --budget 2 --out_dir runs/grid_wscw
