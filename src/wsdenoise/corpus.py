@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wsdenoise.featurize import TermCounts, count_terms
+from wsdenoise.seeding import keyed_draws
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,20 @@ def _top_classes(ds: WeakDataset, t_matrix) -> np.ndarray:
 def majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVector:
     """Assign each sample the argmax class of ``row_i(Z) @ t_matrix``.
 
-    Ties among maximal classes are broken uniformly at random from a stream
-    keyed by (seed, sample id); samples with an empty signature (off
-    ``ds.matched_mask``) tie across all classes and get a uniformly random one.
+    Ties among maximal classes are broken uniformly at random; samples with an
+    empty signature (off ``ds.matched_mask``) tie across all classes.  Tied
+    sample i takes its r-th tied class, in class order, for r =
+    ``np.random.default_rng([seed, i]).integers(number of tied classes)``: a
+    stream keyed by (seed, sample index), so evaluation order cannot change
+    results, which ``seeding.keyed_draws`` computes for all samples at once.
     """
     is_max = _top_classes(ds, t_matrix)
     labels = np.argmax(is_max, axis=1).astype(np.int64)
-    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
-        tied = np.flatnonzero(is_max[i])
-        # a counter-based stream per sample: evaluation order cannot change results
-        labels[i] = tied[np.random.default_rng([seed, int(i)]).integers(len(tied))]
+    ties = is_max.sum(axis=1)
+    tied = np.flatnonzero(ties > 1)
+    r = keyed_draws(seed, tied, ties[tied])
+    # the r-th tied class is the first column whose running count of tied classes exceeds r
+    labels[tied] = np.argmax(is_max[tied].cumsum(axis=1) > r[:, None], axis=1)
     return LabelVector(labels)
 
 

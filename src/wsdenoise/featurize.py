@@ -145,12 +145,16 @@ def _tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.c
         indices, tf = indices[keep], tf[keep]
     data = idf[indices]
     data *= tf
-    # each row's norm is sqrt(row . row) with one BLAS dot per row, which is
-    # how np.linalg.norm computes it; a vectorized sum of squares rounds
-    # differently in the last bit
-    bounds = indptr.tolist()
-    norms = np.sqrt([data[a:b].dot(data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-    data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(indptr))
+    # each row's norm is sqrt(row . row) with one BLAS dot per row, which is how
+    # np.linalg.norm computes it (a sum of squares rounds differently); vecdot takes
+    # that dot along each row of the (n, L) array of the n rows of stored length L
+    lengths = np.diff(indptr)
+    norms = np.zeros(lengths.size)
+    for size in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == size)
+        block = data[indptr[rows, None] + np.arange(size)]
+        norms[rows] = np.sqrt(np.vecdot(block, block))
+    data /= np.repeat(np.where(norms > 0, norms, 1.0), lengths)
     return sp.csr_array((data, indices, indptr), shape=(counts.shape[0], vocab.size))
 
 

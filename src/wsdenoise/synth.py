@@ -107,8 +107,9 @@ def generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
     # class c's cluster at c * cluster_size, then the shared pool
     pool_words = np.array([f"w{c}x{m}" for c in range(k) for m in range(cluster_size)]
                           + [f"common{m}" for m in range(shared_size)], dtype=object)
-    triggers = [f"lftrig{j}" for j in range(l)]
-
+    # each document's trigger words, from Z's rows: their indices ascend, as flatnonzero's do
+    heads = np.array([f"lftrig{j}" for j in range(l)], dtype=object)[z.indices].tolist()
+    head_ends = z.indptr.tolist()
     wpd = cfg.words_per_doc
     docs_per_block = max(1, _BLOCK_WORDS // max(wpd, 1))
     texts = []
@@ -119,7 +120,7 @@ def generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
                          k * cluster_size)
         words = pool_words[start + index].reshape(hi - lo, wpd)
         for i, row in zip(range(lo, hi), words.tolist()):
-            texts.append(" ".join([triggers[j] for j in np.flatnonzero(fires[i])] + row))
+            texts.append(" ".join(heads[head_ends[i]:head_ends[i + 1]] + row))
 
     ds = WeakDataset(
         texts=texts,

@@ -21,6 +21,11 @@ plan and classifier seeds.  ``ulf.run_ulf``, ``wscl.run_wscl`` and
 ``ref_generate`` is ``synth.generate`` with the per-word loop it had before
 its words were drawn in blocks: two scalar draws per word, document by
 document.  ``generate`` must build the same dataset byte for byte.
+
+``ref_tfidf`` is ``featurize._tfidf`` with one ``dot`` per row for the row
+norms, and ``ref_majority_vote`` is ``corpus.majority_vote`` with one
+``default_rng([seed, i])`` per tied sample; both must agree bit for bit.  The
+method references vote with ``ref_majority_vote``.
 """
 
 from dataclasses import replace
@@ -28,9 +33,9 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from wsdenoise.corpus import LabelVector, WeakDataset, as_labels, majority_vote
+from wsdenoise.corpus import LabelVector, WeakDataset, _top_classes, as_labels
 from wsdenoise.crossval import FoldPlan, OOSProbs, build_plan, plan_by_lf
-from wsdenoise.featurize import FeaturizeConfig, fit_rows, transform_rows
+from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_rows, transform_rows
 from wsdenoise.linear import ClassifierConfig, Model, predict_proba
 from wsdenoise.seeding import derive_seed
 from wsdenoise.synth import SynthConfig
@@ -153,7 +158,7 @@ def ref_ulf(ds: WeakDataset, cfg: UlfConfig) -> tuple[np.ndarray, np.ndarray]:
     z = ds.z.toarray()
     unmatched = ~z.any(axis=1)
     t_hat = np.array(ds.t, dtype=float)
-    final = train = majority_vote(ds, t_hat, cfg.seed).labels
+    final = train = ref_majority_vote(ds, t_hat, cfg.seed).labels
     stall = 0
     for it in range(1, cfg.max_iters + 1):
         try:
@@ -173,7 +178,7 @@ def ref_ulf(ds: WeakDataset, cfg: UlfConfig) -> tuple[np.ndarray, np.ndarray]:
                 q = c[l] * (float(z[:, l].sum()) / float(c[l].sum()))
                 t_hat[l] = cfg.p * (q / q.sum()) + (1.0 - cfg.p) * t_hat[l]
         vote_seed = cfg.seed if it == 1 else derive_seed(cfg.seed, 100, it)
-        vote = majority_vote(ds, t_hat, vote_seed).labels
+        vote = ref_majority_vote(ds, t_hat, vote_seed).labels
         vote[unmatched] = train[unmatched]
         stall = stall + 1 if (vote == final).all() else 0
         train = np.where(unmatched & (conf >= 0), conf, vote)
@@ -192,7 +197,7 @@ def ref_wscl(ds: WeakDataset, cfg: WsclConfig) -> tuple[np.ndarray, dict]:
     order, prunes the round-half-up N * q[i, j] samples voted i and not yet
     pruned with the largest p(j) - p(i), the lower id first on a tie.
     """
-    noisy = majority_vote(ds, ds.t, cfg.seed).labels
+    noisy = ref_majority_vote(ds, ds.t, cfg.seed).labels
     plan = build_plan(ds, cfg.strategy, cfg.k, cfg.lambda_rate, derive_seed(cfg.seed, 600))
     probs = ref_estimate_oos(ds, noisy, plan, cfg.feat,
                              replace(cfg.clf, seed=derive_seed(cfg.seed, 700))).probs
@@ -230,7 +235,7 @@ def ref_wscw(ds: WeakDataset, cfg: WscwConfig) -> tuple[np.ndarray, np.ndarray]:
     most probable out-of-sample class (the lowest on a tie) is not its vote
     gets a flag, and its weight is epsilon ** flags.
     """
-    noisy = majority_vote(ds, ds.t, cfg.seed).labels
+    noisy = ref_majority_vote(ds, ds.t, cfg.seed).labels
     matched = ds.z.toarray().any(axis=1)
     flags = np.zeros(ds.n_samples, dtype=np.int64)
     for part in range(cfg.partitions):
@@ -301,3 +306,32 @@ def ref_generate(cfg: SynthConfig) -> tuple[WeakDataset, LabelVector]:
         gold=gold.astype(np.int64),
     )
     return ds, LabelVector(gold.astype(np.int64))
+
+
+def ref_tfidf(counts: sp.csr_array, columns: np.ndarray, vocab: Vocabulary) -> sp.csr_array:
+    """``featurize._tfidf`` with its row norms taken by one ``dot`` per row, in a list."""
+    idf = np.log((1.0 + vocab.num_docs_fitted) / (1.0 + vocab.df)) + 1.0
+    indices = columns[counts.indices]
+    tf = counts.data
+    dropped = np.flatnonzero(indices < 0)
+    indptr = (counts.indptr - np.searchsorted(dropped, counts.indptr)).astype(np.int32)
+    if dropped.size:
+        keep = indices >= 0
+        indices, tf = indices[keep], tf[keep]
+    data = idf[indices]
+    data *= tf
+    bounds = indptr.tolist()
+    norms = np.sqrt([data[a:b].dot(data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    data /= np.repeat(np.where(norms > 0, norms, 1.0), np.diff(indptr))
+    return sp.csr_array((data, indices, indptr), shape=(counts.shape[0], vocab.size))
+
+
+def ref_majority_vote(ds: WeakDataset, t_matrix: np.ndarray, seed: int) -> LabelVector:
+    """``corpus.majority_vote`` with one generator per tied sample, in a loop."""
+    is_max = _top_classes(ds, t_matrix)
+    labels = np.argmax(is_max, axis=1).astype(np.int64)
+    for i in np.flatnonzero(is_max.sum(axis=1) > 1):
+        tied = np.flatnonzero(is_max[i])
+        # a counter-based stream per sample: evaluation order cannot change results
+        labels[i] = tied[np.random.default_rng([seed, int(i)]).integers(len(tied))]
+    return LabelVector(labels)

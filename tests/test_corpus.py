@@ -21,6 +21,7 @@ from wsdenoise.corpus import (
 from wsdenoise.synth import SynthConfig, generate
 
 from conftest import make_dataset, random_instance
+from reference import ref_majority_vote
 
 
 def write_files(tmp_path, docs, z_lines, t_lines, gold=None):
@@ -506,3 +507,40 @@ class TestSignatures:
         assert ds.signatures() == [(0,), (1,)]
         assert ds.lf_hits.tolist() == [1, 1]
         assert ds.z.nnz == 3  # on a copy: Z keeps its stored zero
+
+
+def _vote_or_error(vote, ds, t, seed):
+    try:
+        return vote(ds, t, seed).labels
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tied_votes(draw):
+    """A dataset and an LF-to-class matrix whose repeated rows force ties, with unmatched rows."""
+    k, n, l = draw(st.integers(2, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    rows = draw(arrays(float, (draw(st.integers(1, 4)), k),
+                       elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    rows[rows.sum(axis=1) == 0, 0] = 1.0
+    t = rows[draw(arrays(np.int64, l, elements=st.integers(0, len(rows) - 1)))]
+    z = draw(arrays(np.int8, (n, l), elements=st.integers(0, 1)))
+    z[draw(arrays(bool, n))] = 0
+    return make_dataset(z, t), t
+
+
+class TestMajorityVoteAgainstReference:
+    """``majority_vote`` draws every tie-break at once; ``ref_majority_vote`` one per sample."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tied_votes(),
+           seed=st.integers(0, 2**200) | st.integers(-2**70, -1) | st.floats(0, 1e6))
+    def test_equals_the_per_sample_loop(self, case, seed):
+        ds, t = case
+        for s in (seed, 2**32 - 1, 2**32, 2**64, 2**96):
+            got = _vote_or_error(majority_vote, ds, t, s)
+            want = _vote_or_error(ref_majority_vote, ds, t, s)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -6,11 +6,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdenoise import featurize
 from wsdenoise.featurize import FeaturizeConfig, fit_vocabulary, tokenize, transform
+
+from reference import ref_tfidf
 
 
 class TestFitVocabulary:
@@ -230,3 +233,45 @@ class TestFitRows:
             if rows is None:  # the whole corpus spans several blocks at every size
                 assert len(blocks) > 1
             assert list(x.blocks) == []  # the blocks are read once
+
+
+# stored row lengths on both sides of the SIMD block sizes
+_ROW_LENGTHS = st.integers(0, 300) | st.sampled_from([511, 512, 513, 1023, 1024, 1025])
+
+
+class TestTfidfNorms:
+    """``_tfidf`` takes its row norms by stored row length; ``ref_tfidf`` one ``dot`` per row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(_ROW_LENGTHS, min_size=1, max_size=10),
+           values=st.sampled_from(["counts", "row_scales", "value_scales"]),
+           data=st.data())
+    def test_equals_one_dot_per_row(self, lengths, values, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_terms = max(lengths) + data.draw(st.integers(1, 40))
+        kept = rng.random(n_terms) < data.draw(st.floats(0.0, 1.0))
+        kept[rng.integers(n_terms)] = True
+        dropped = np.flatnonzero(~kept)
+        # a row of dropped terms only is left empty by the vocabulary
+        rows = [rng.choice(dropped if length <= dropped.size and rng.random() < 0.3 else n_terms,
+                           size=length, replace=False) for length in lengths]
+        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+        indices = np.concatenate([np.sort(r) for r in rows]).astype(np.int32)
+        if values == "counts":
+            tf = rng.integers(1, 2**31, indices.size, dtype=np.int32)
+        else:  # scales from 1e-150 to 1e149, per row or per value
+            exps = rng.integers(-150, 150, len(lengths) if values == "row_scales" else indices.size)
+            tf = rng.uniform(1.0, 10.0, indices.size) * 10.0 ** (
+                np.repeat(exps, lengths) if values == "row_scales" else exps)
+        tf[np.repeat(rng.random(len(lengths)) < 0.2, lengths)] = 0  # rows of stored zeros
+        counts = sp.csr_array((tf, indices, indptr), shape=(len(lengths), n_terms))
+        columns = np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32)
+        num_docs = int(rng.integers(1, 10**6))
+        vocab = featurize.Vocabulary(index={f"t{i}": i for i in range(int(kept.sum()))},
+                                     df=rng.integers(1, num_docs + 1, int(kept.sum())),
+                                     num_docs_fitted=num_docs)
+        got, want = featurize._tfidf(counts, columns, vocab), ref_tfidf(counts, columns, vocab)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
