@@ -21,7 +21,8 @@ comes out as those rows of a larger cut.
 it is read, which ``linear.train_group`` writes straight into its stacked
 arrays.  ``transform_rows`` cuts a fold's test rows with that fold's vocabulary.
 ``fit_vocabulary`` fits on every text it is given, and ``transform`` counts
-held-out texts, maps their terms to the vocabulary's columns and cuts them.
+held-out texts (or takes their counts), maps their terms to the vocabulary's
+columns and cuts them.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class Vocabulary:
 class TermCounts:
     terms: list[str]          # sorted distinct terms; column j counts terms[j]
     counts: sp.csr_array      # N x T int32 counts, columns ascending within each row
+
+    def __len__(self) -> int:  # documents counted
+        return self.counts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ def fit_vocabulary(texts: list[str], cfg: FeaturizeConfig | None = None) -> Voca
     return fit_rows(count_terms(texts), None, cfg or FeaturizeConfig())[0]
 
 
-def transform(texts: list[str], vocab: Vocabulary) -> sp.csr_array:
-    """TF-IDF encode documents as a sparse N x V matrix with L2-normalized rows."""
-    tc = count_terms(texts)
+def transform(texts: list[str] | TermCounts, vocab: Vocabulary) -> sp.csr_array:
+    """TF-IDF encode documents, or their ``count_terms``, as an N x V matrix with unit rows."""
+    tc = texts if isinstance(texts, TermCounts) else count_terms(texts)
     columns = np.array([vocab.index.get(t, -1) for t in tc.terms], dtype=np.int32)
     return _tfidf(tc.counts, columns, vocab)

@@ -7,6 +7,8 @@ held-out test split or the corrected labels against training gold, writes
 the ``metrics.json`` record plus per-method diagnostics into the run
 directory, and returns that record.  The development split, when present,
 is used only for model selection and grid search, never inside denoising.
+``run`` and ``grid_search`` share one sweep driver, which trains the final
+models of consecutive repeats, across grid points, in one lockstep.
 
 Everything written to ``metrics.json`` and the label outputs is
 deterministic under a fixed config and seed; wall-clock timing goes to a
@@ -36,9 +38,11 @@ from wsdenoise.corpus import (
     read_documents,
     read_gold,
 )
-from wsdenoise.featurize import FeaturizeConfig
+from wsdenoise.crossval import _groups
+from wsdenoise.featurize import FeaturizeConfig, count_terms
 from wsdenoise.linear import ClassifierConfig
-from wsdenoise.pipeline import DenoiseResult, FoldConfig, evidence_memo, finish
+from wsdenoise.pipeline import (DenoiseResult, FoldConfig, evidence_memo, final_fit, finish,
+                                train_text_models)
 from wsdenoise.seeding import derive_seed
 from wsdenoise.ulf import UlfConfig, run_ulf
 from wsdenoise.wscl import WsclConfig, run_wscl
@@ -179,10 +183,14 @@ def _check_metric(metric: str, ds: WeakDataset) -> None:
 # split loading
 
 
-def _load_split(doc_path, gold_path, num_classes):
-    """Documents and gold labels of a dev or test split, validated like the training set."""
-    ids, texts, seen = read_documents(doc_path)
-    return texts, read_gold(gold_path, ids, seen, num_classes)
+def _load_split(doc_path, gold_path, num_classes, splits: dict):
+    """A split's ``count_terms`` and gold, validated like the training set; read once per
+    ``splits``, a sweep's record of the splits it has read."""
+    if (doc_path, gold_path) not in splits:
+        ids, texts, seen = read_documents(doc_path)
+        gold = read_gold(gold_path, ids, seen, num_classes)
+        splits[doc_path, gold_path] = count_terms(texts), gold
+    return splits[doc_path, gold_path]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +293,115 @@ def _write_artifacts(run_dir, cfg: RunConfig, ds: WeakDataset, result: DenoiseRe
 
 
 # ---------------------------------------------------------------------------
-# run and grid search
+# the sweep driver, and run and grid search on it
+
+
+class _Point:
+    """One run of a sweep, a grid point or a lone ``run``: its splits and its repeats' tally."""
+
+    def __init__(self, cfg: RunConfig, ds: WeakDataset, splits: dict):
+        """Read the held-out splits and make the checks that come before any repeat."""
+        self.cfg, self.ds, self.start = cfg, ds, time.monotonic()
+        self.dev = self.test = None
+        if cfg.dev_doc_path:
+            self.dev = _load_split(cfg.dev_doc_path, cfg.dev_gold_path, ds.num_classes, splits)
+        if cfg.test_doc_path:
+            self.test = _load_split(cfg.test_doc_path, cfg.test_gold_path, ds.num_classes, splits)
+        if self.test is None and ds.gold is None:
+            raise ValueError("no evaluation target: provide a test split or training gold")
+        _check_metric(cfg.metric, ds)
+        self.seeds = [derive_seed(cfg.seed, 800, r) for r in range(cfg.repeats)]
+        self.values, self.dev_values, self.failures = [], [], []
+        self.best = None  # (dev value, result) of the repeat whose artifacts are written
+        self.outcome = None  # the metrics record, or the exception that stopped the point
+
+    def score(self, r: int, result) -> None:
+        """Tally repeat ``r``'s result, or the exception that stopped it; after the last
+        repeat, write the run directory.  An exception raised here is the point's outcome."""
+        cfg, dev, test = self.cfg, self.dev, self.test
+        try:
+            if isinstance(result, Exception):
+                self.failures.append(f"repeat {r}: {type(result).__name__}: {result}")
+            else:
+                if test is not None:
+                    value = evaluate(result.final_model.predict(test[0]), test[1], cfg.metric)
+                else:
+                    value = evaluate(result.final_labels, self.ds.gold, cfg.metric)
+                dev_value = None
+                if dev is not None:
+                    dev_value = evaluate(result.final_model.predict(dev[0]), dev[1], cfg.metric)
+                    self.dev_values.append(dev_value)
+                self.values.append(value)
+                if self.best is None or dev is None or dev_value > self.best[0]:
+                    self.best = (dev_value, result)
+            if r == cfg.repeats - 1:
+                self.outcome = self._write()
+        except Exception as exc:
+            self.outcome = exc
+
+    def _write(self) -> dict:
+        values, dev_values, failures = self.values, self.dev_values, self.failures
+        if not values:
+            raise RuntimeError("all repeats failed: " + "; ".join(failures))
+        cfg = self.cfg
+        sem = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+        metrics = {"method": cfg.method, "strategy": cfg.strategy, "metric": cfg.metric,
+                   "repeats": cfg.repeats, "seeds": self.seeds, "failures": failures,
+                   "partial": bool(failures), "values": values, "mean": float(np.mean(values)),
+                   "sem": sem, "dev_values": dev_values if self.dev is not None else None,
+                   "dev_mean": float(np.mean(dev_values)) if dev_values else None}
+        _clear_artifacts(cfg.out_dir)
+        _write_artifacts(cfg.out_dir, cfg, self.ds, self.best[1], metrics,
+                         time.monotonic() - self.start)
+        return metrics
+
+
+def _sweep(ds: WeakDataset, cfgs: list) -> list:
+    """Run each config's repeats in order; return per config its ``metrics.json`` record or
+    the exception that stopped it.  A repeat that raises is recorded; KeyboardInterrupt stops.
+
+    Each repeat's method runs without its final model.  Final models train in
+    chunks of consecutive repeats (``train_text_models``), planned by
+    ``crossval._groups`` from the whole dataset's stored counts, a bound on a
+    model's features, so a chunk is no larger than a fold group; then the
+    chunk's repeats are scored in order.  A repeat without a held-out split
+    needs no model and is scored as soon as its method returns.
+    """
+    points, splits = [None] * len(cfgs), {}
+    jobs = [(i, r) for i, cfg in enumerate(cfgs) for r in range(cfg.repeats)]
+    final = any(cfg.dev_doc_path or cfg.test_doc_path for cfg in cfgs)
+    for chunk in _groups([ds.term_counts.counts.nnz if final else 0] * len(jobs)):
+        pending = []  # (point, repeat, result or exception) of the chunk's final models
+        for i, r in (jobs[j] for j in chunk):
+            if r == 0:
+                try:
+                    points[i] = _Point(cfgs[i], ds, splits)
+                except Exception as exc:
+                    points[i] = exc
+            point = points[i]
+            if isinstance(point, Exception) or point.outcome is not None:
+                continue
+            try:
+                result = _execute_repeat(ds, point.cfg, point.seeds[r], False)
+            except Exception as exc:
+                result = exc
+            if point.dev is None and point.test is None:
+                point.score(r, result)
+            else:
+                pending.append((point, r, result))
+            del result  # ``pending``, or the point that chose it, holds it now
+        models = iter(train_text_models(ds, [
+            final_fit(res, p.cfg.featurize_config(), p.cfg.classifier_config(p.seeds[r]))
+            for p, r, res in pending if not isinstance(res, Exception)]))
+        while pending:  # a result is dropped once scored, unless its point chose it
+            point, r, result = pending.pop(0)
+            if not isinstance(result, Exception):
+                result.final_model = next(models)
+                if isinstance(result.final_model, Exception):
+                    result = result.final_model
+            point.score(r, result)
+            del result
+    return [p if isinstance(p, Exception) else p.outcome for p in points]
 
 
 def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
@@ -300,54 +416,14 @@ def run(cfg: RunConfig, ds: WeakDataset | None = None) -> dict:
     raises is recorded in ``failures`` with its exception type and skipped;
     the run raises only when every repeat fails.  What an earlier run wrote in
     ``out_dir`` is removed only after every repeat has run and been scored, so
-    a run that raises leaves it in place.
+    a run that raises leaves it in place.  A run is a sweep of one point.
     """
-    start = time.monotonic()
     if ds is None:
         ds = load_dataset(cfg.doc_path, cfg.z_path, cfg.t_path, cfg.gold_path or None)
-    dev = test = None
-    if cfg.dev_doc_path:
-        dev = _load_split(cfg.dev_doc_path, cfg.dev_gold_path, ds.num_classes)
-    if cfg.test_doc_path:
-        test = _load_split(cfg.test_doc_path, cfg.test_gold_path, ds.num_classes)
-    if test is None and ds.gold is None:
-        raise ValueError("no evaluation target: provide a test split or training gold")
-    _check_metric(cfg.metric, ds)
-    train_final = dev is not None or test is not None  # only held-out splits use the model
-
-    values, dev_values, failures = [], [], []
-    best = None  # (dev value, result) of the repeat whose artifacts are written
-    seeds = [derive_seed(cfg.seed, 800, r) for r in range(cfg.repeats)]
-    for r, seed in enumerate(seeds):
-        try:
-            result = _execute_repeat(ds, cfg, seed, train_final)
-        except Exception as exc:  # a failed repeat is recorded; KeyboardInterrupt stops
-            failures.append(f"repeat {r}: {type(exc).__name__}: {exc}")
-            continue
-        if test is not None:
-            value = evaluate(result.final_model.predict(test[0]), test[1], cfg.metric)
-        else:
-            value = evaluate(result.final_labels, ds.gold, cfg.metric)
-        dev_value = None
-        if dev is not None:
-            dev_value = evaluate(result.final_model.predict(dev[0]), dev[1], cfg.metric)
-            dev_values.append(dev_value)
-        values.append(value)
-        if best is None or dev is None or dev_value > best[0]:
-            best = (dev_value, result)
-        del result  # while the next repeat runs, only the chosen one is held
-
-    if not values:
-        raise RuntimeError("all repeats failed: " + "; ".join(failures))
-    sem = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    metrics = {"method": cfg.method, "strategy": cfg.strategy, "metric": cfg.metric,
-               "repeats": cfg.repeats, "seeds": seeds, "failures": failures,
-               "partial": bool(failures), "values": values, "mean": float(np.mean(values)),
-               "sem": sem, "dev_values": dev_values if dev is not None else None,
-               "dev_mean": float(np.mean(dev_values)) if dev_values else None}
-    _clear_artifacts(cfg.out_dir)
-    _write_artifacts(cfg.out_dir, cfg, ds, best[1], metrics, time.monotonic() - start)
-    return metrics
+    (outcome,) = _sweep(ds, [cfg])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def grid_search(base: RunConfig, space: dict, budget: int | None = None,
@@ -365,8 +441,10 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     of an earlier sweep are removed from ``base.out_dir``, so the directory
     never mixes two sweeps; a value no ``RunConfig`` accepts (``p=2``, say) or
     ``binary_f1`` on a dataset with K != 2 raises before that, leaving the
-    earlier sweep in place.  The points run
-    inside one ``pipeline.evidence_memo``: a point reuses the out-of-sample
+    earlier sweep in place.  The points run as one ``_sweep``, which reads
+    each held-out split once and trains the final models of consecutive
+    repeats, across points, together, and inside one
+    ``pipeline.evidence_memo``: a point reuses the out-of-sample
     probabilities of an earlier point whose fold fits had equal inputs (a
     ``wscw`` epsilon sweep refits no partition, a ``ulf`` p sweep shares
     iteration 1), and every point's artifacts equal those of a standalone
@@ -393,22 +471,21 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
     for cfg in cfgs:
         _check_metric(cfg.metric, ds)
     _clear_grid(base.out_dir)
+    with evidence_memo():
+        outcomes = _sweep(ds, cfgs)
     results = []
     best_cfg, best_score, best_idx = None, -np.inf, None
-    with evidence_memo():
-        for idx, cfg in zip(indices, cfgs):
-            try:
-                metrics = run(cfg, ds=ds)
-            except Exception as exc:  # a failed point is recorded; KeyboardInterrupt stops
-                results.append({"grid_index": idx, "params": points[idx],
-                                "error": f"{type(exc).__name__}: {exc}",
-                                "dev_mean": None, "test_mean": None})
-                continue
-            score = metrics["dev_mean"]
+    for idx, cfg, metrics in zip(indices, cfgs, outcomes):
+        if isinstance(metrics, Exception):
             results.append({"grid_index": idx, "params": points[idx],
-                            "dev_mean": score, "test_mean": metrics["mean"]})
-            if score > best_score:
-                best_cfg, best_score, best_idx = cfg, score, idx
+                            "error": f"{type(metrics).__name__}: {metrics}",
+                            "dev_mean": None, "test_mean": None})
+            continue
+        score = metrics["dev_mean"]
+        results.append({"grid_index": idx, "params": points[idx],
+                        "dev_mean": score, "test_mean": metrics["mean"]})
+        if score > best_score:
+            best_cfg, best_score, best_idx = cfg, score, idx
     os.makedirs(base.out_dir, exist_ok=True)
     with open(os.path.join(base.out_dir, "grid_results.json"), "w", encoding="utf-8") as f:
         json.dump({"best_index": best_idx, "results": results}, f, indent=1, sort_keys=True)
@@ -416,4 +493,3 @@ def grid_search(base: RunConfig, space: dict, budget: int | None = None,
         raise RuntimeError("every grid point failed: "
                            + "; ".join(f"point {r['grid_index']}: {r['error']}" for r in results))
     return best_cfg, results
-

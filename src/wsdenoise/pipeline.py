@@ -22,8 +22,8 @@ import numpy as np
 from wsdenoise.confidence import class_thresholds, confident_labels
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
 from wsdenoise.crossval import STRATEGIES, FoldPlan, OOSProbs, build_plan, estimate_oos
-from wsdenoise.featurize import FeaturizeConfig, Vocabulary, fit_rows, transform
-from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train
+from wsdenoise.featurize import FeaturizeConfig, TermCounts, Vocabulary, fit_rows, transform
+from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train_group
 
 # stage key -> (dataset, labels, OOSProbs) of the last estimate under that key;
 # None outside an ``evidence_memo`` block
@@ -58,11 +58,37 @@ class TextModel:
     vocab: Vocabulary
     model: Model
 
-    def predict_proba(self, texts: list[str]) -> np.ndarray:
+    def predict_proba(self, texts: list[str] | TermCounts) -> np.ndarray:
+        """Class probabilities of ``texts``, or of their ``featurize.count_terms``."""
         return predict_proba(self.model, transform(texts, self.vocab))
 
-    def predict(self, texts: list[str]) -> np.ndarray:
+    def predict(self, texts: list[str] | TermCounts) -> np.ndarray:
         return np.argmax(self.predict_proba(texts), axis=1)
+
+
+def train_text_models(ds: WeakDataset, fits: list) -> list:
+    """Per entry of ``fits``, the arguments of ``train_text_model`` after ``ds`` (configs
+    given), that function's ``TextModel``, or the exception it would raise.
+
+    The entries whose classifier configs differ at most in their seeds train
+    in one ``linear.train_group`` call, each model bit for bit as alone.
+    """
+    out, groups = [None] * len(fits), {}  # classifier config but its seed -> [(entry, vocab, x)]
+    for i, (_, rows, _, feat_cfg, clf_cfg) in enumerate(fits):
+        try:
+            vocab, _, x = fit_rows(ds.term_counts, rows, feat_cfg)
+        except Exception as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(astuple(replace(clf_cfg, seed=0)), []).append((i, vocab, x))
+    for group in groups.values():
+        clfs = [fits[i][4] for i, *_ in group]
+        models = train_group([x for *_, x in group], [fits[i][0] for i, *_ in group],
+                             [fits[i][2] for i, *_ in group], clfs[0],
+                             [clf.seed for clf in clfs], num_classes=ds.num_classes)
+        for (i, vocab, _), model in zip(group, models):
+            out[i] = model if isinstance(model, Exception) else TextModel(vocab, model)
+    return out
 
 
 def train_text_model(ds: WeakDataset, labels, rows: np.ndarray | None = None,
@@ -72,12 +98,13 @@ def train_text_model(ds: WeakDataset, labels, rows: np.ndarray | None = None,
 
     ``labels`` and ``sample_weights`` are aligned with those rows.  The
     features are cut from the dataset's count matrix, so no text is
-    tokenized again.
+    tokenized again.  This is ``train_text_models`` of one entry.
     """
-    vocab, _, features = fit_rows(ds.term_counts, rows, feat_cfg or FeaturizeConfig())
-    model = train(features, labels, sample_weights=sample_weights,
-                  cfg=clf_cfg or ClassifierConfig(), num_classes=ds.num_classes)
-    return TextModel(vocab, model)
+    (model,) = train_text_models(ds, [(labels, rows, sample_weights, feat_cfg or FeaturizeConfig(),
+                                       clf_cfg or ClassifierConfig())])
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 @dataclass
@@ -111,11 +138,15 @@ def finish(ds: WeakDataset, labels: LabelVector, train_final: bool, feat: Featur
     fields.setdefault("refined_t", np.array(ds.t, dtype=float))
     result = DenoiseResult(labels, **fields)
     if train_final:
-        rows = None if result.keep_mask is None else np.flatnonzero(result.keep_mask)
-        y = labels.labels if rows is None else labels.labels[rows]
-        w = None if result.sample_weights is None else result.sample_weights.w
-        result.final_model = train_text_model(ds, y, rows, w, feat, clf)
+        result.final_model = train_text_model(ds, *final_fit(result, feat, clf))
     return result
+
+
+def final_fit(result: DenoiseResult, feat: FeaturizeConfig, clf: ClassifierConfig) -> tuple:
+    """The ``train_text_models`` entry of ``result``'s final model, as ``finish`` trains it."""
+    rows = None if result.keep_mask is None else np.flatnonzero(result.keep_mask)
+    y = result.final_labels.labels if rows is None else result.final_labels.labels[rows]
+    return y, rows, None if result.sample_weights is None else result.sample_weights.w, feat, clf
 
 
 @contextlib.contextmanager

@@ -128,10 +128,10 @@ def test_no_memo_outlives_the_sweep(tmp_path, monkeypatch):
         grid_search(base, {"k": [4000, 5000]}, ds=ds)
     assert pipeline._MEMO.get() is None
 
-    def interrupted(cfg, ds=None):
+    def interrupted(cfg, ds, splits):
         assert pipeline._MEMO.get() == {}
         raise KeyboardInterrupt
-    monkeypatch.setattr(harness, "run", interrupted)
+    monkeypatch.setattr(harness, "_Point", interrupted)
     with pytest.raises(KeyboardInterrupt):
         grid_search(base, {"p": [0.5]}, ds=ds)
     assert pipeline._MEMO.get() is None

@@ -4,13 +4,14 @@ import subprocess
 import sys
 import types
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsdenoise import cli, harness, pipeline
+from wsdenoise import cli, crossval, featurize, harness, pipeline
 from wsdenoise.corpus import dataset_stats, save_dataset
 from wsdenoise.harness import (
     RunConfig,
@@ -20,6 +21,7 @@ from wsdenoise.harness import (
 )
 from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import FoldConfig
+from wsdenoise.seeding import derive_seed
 from wsdenoise.synth import SynthConfig, generate
 from wsdenoise.ulf import UlfConfig
 from wsdenoise.wscl import WsclConfig
@@ -365,16 +367,19 @@ class TestRun:
     def test_final_model_trained_only_for_a_held_out_split(self, tmp_path, monkeypatch,
                                                            method):
         ds, _ = generate(SynthConfig(n_samples=150, seed=29, coverage_target=0.8))
-        real, calls = pipeline.train_text_model, []
+        trained = []  # final models, wherever they train
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(pipeline, "train_text_model", counting)
+        def counting(real):
+            def train_text_models(ds_, fits):
+                trained.extend(fits)
+                return real(ds_, fits)
+            return train_text_models
+        for owner in (pipeline, harness):
+            monkeypatch.setattr(owner, "train_text_models", counting(owner.train_text_models))
         fast = self._fast(repeats=2)
         run(RunConfig(method=method, out_dir=str(tmp_path / "gold"), partitions=1, **fast),
             ds=ds)
-        assert calls == []  # training gold alone never needs the model
+        assert trained == []  # training gold alone never needs the model
         (tmp_path / "docs.tsv").write_text("".join(f"h{i}\t{t}\n"
                                                    for i, t in enumerate(ds.texts[:30])))
         (tmp_path / "gold.tsv").write_text("".join(f"h{i}\t{g}\n"
@@ -382,18 +387,20 @@ class TestRun:
         run(RunConfig(method=method, out_dir=str(tmp_path / "test"), partitions=1,
                       test_doc_path=str(tmp_path / "docs.tsv"),
                       test_gold_path=str(tmp_path / "gold.tsv"), **fast), ds=ds)
-        assert len(calls) == 2  # one per repeat
+        assert len(trained) == 2  # one per repeat
 
     @pytest.mark.parametrize("dev_scores, chosen", [([0.2, 0.7, 0.5, 0.7, 0.1], 1),
                                                     ([0.3, 0.3, 0.3], 0), (None, 2)])
     def test_writes_the_first_best_dev_repeat_and_holds_no_other(self, tmp_path, monkeypatch,
                                                                  dev_scores, chosen):
         ds, _ = generate(SynthConfig(n_samples=60, seed=21, coverage_target=0.8))
+        # the final models train in chunks of two repeats
+        monkeypatch.setattr(crossval, "_GROUP_NNZ", 2 * ds.term_counts.counts.nnz)
 
-        class Result:  # a repeat's result, whose model "predicts" the repeat's index
+        class Result:  # a repeat's result, whose labels hold the repeat's index
             def __init__(self, r):
-                self.repeat, self.final_labels = r, "labels"
-                self.final_model = types.SimpleNamespace(predict=lambda texts: r)
+                self.repeat, self.keep_mask, self.sample_weights = r, None, None
+                self.final_labels = types.SimpleNamespace(labels=np.array([r]))
 
         held, still_held, written = weakref.WeakSet(), [], []
 
@@ -402,11 +409,16 @@ class TestRun:
             res = Result(len(still_held) - 1)
             held.add(res)
             return res
+
+        def fake_models(ds_, fits):  # a repeat's model "predicts" the repeat's index
+            return [types.SimpleNamespace(predict=lambda texts, r=int(y[0]): r)
+                    for y, *_ in fits]
         monkeypatch.setattr(harness, "_execute_repeat", fake_repeat)
+        monkeypatch.setattr(harness, "train_text_models", fake_models)
         monkeypatch.setattr(harness, "_load_split", lambda *a: (["x"], np.array([0])))
         monkeypatch.setattr(harness, "evaluate",
-                            lambda pred, gold, metric: 0.5 if pred == "labels"
-                            else dev_scores[pred])
+                            lambda pred, gold, metric: dev_scores[pred]
+                            if isinstance(pred, int) else 0.5)
         monkeypatch.setattr(harness, "_write_artifacts",
                             lambda run_dir, cfg, ds_, result, *a: written.append(result.repeat))
         dev = {} if dev_scores is None else {"dev_doc_path": "d", "dev_gold_path": "g"}
@@ -414,7 +426,28 @@ class TestRun:
         run(RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"), **dev,
                       **self._fast(repeats=repeats)), ds=ds)
         assert written == [chosen]
-        assert max(still_held) <= 1  # at most the chosen one
+        # at most one final-model chunk plus the chosen result: the repeats
+        # before this one in its chunk, and the chosen one of earlier chunks
+        assert all(n <= j % 2 + 1 for j, n in enumerate(still_held)), still_held
+
+    def test_final_models_that_all_diverge_are_recorded_as_alone(self, tmp_path):
+        ds, _ = generate(SynthConfig(n_samples=150, seed=29, coverage_target=0.8))
+        (tmp_path / "docs.tsv").write_text("".join(f"h{i}\t{t}\n"
+                                                   for i, t in enumerate(ds.texts[:30])))
+        (tmp_path / "gold.tsv").write_text("".join(f"h{i}\t{g}\n"
+                                                   for i, g in enumerate(ds.gold[:30])))
+        cfg = RunConfig(method="baseline_majority", out_dir=str(tmp_path / "run"), repeats=2,
+                        lr=50.0, l2=1.0, batch_size=8, test_doc_path=str(tmp_path / "docs.tsv"),
+                        test_gold_path=str(tmp_path / "gold.tsv"))
+        alone = []  # what each repeat's final model raises when it trains by itself
+        for r in range(cfg.repeats):
+            with pytest.raises(RuntimeError, match="non-finite loss at epoch") as info:
+                harness._execute_repeat(ds, cfg, derive_seed(cfg.seed, 800, r), True)
+            alone.append(f"repeat {r}: RuntimeError: {info.value}")
+        with pytest.raises(RuntimeError) as info:
+            run(cfg, ds=ds)
+        assert str(info.value) == "all repeats failed: " + "; ".join(alone)
+        assert alone[0].endswith("; learning rate too large?")
 
     def _flaky_repeats(self, monkeypatch, exc):
         """Make the first repeat raise ``exc``; later repeats run for real."""
@@ -546,15 +579,60 @@ class TestGridSearch:
         assert written["best_index"] is None
         assert [r["dev_mean"] for r in written["results"]] == [None, None]
 
-    def _failing_point(self, monkeypatch, k, exc):
-        """Make the grid point with ``k`` raise ``exc``; other points run for real."""
-        real = harness.run
+    def _with_test_split(self, tmp_path, base):
+        held, _ = generate(SynthConfig(n_samples=60, seed=32, coverage_target=0.85))
+        doc, gold = tmp_path / "test_docs.tsv", tmp_path / "test_gold.tsv"
+        doc.write_text("".join(f"{i}\t{t}\n" for i, t in enumerate(held.texts)))
+        gold.write_text("".join(f"{i}\t{g}\n" for i, g in enumerate(held.gold)))
+        return replace(base, repeats=2, dump_folds=True, test_doc_path=str(doc),
+                       test_gold_path=str(gold))
 
-        def run_or_raise(cfg, ds=None):
+    def test_points_equal_standalone_runs(self, tmp_path, monkeypatch):
+        ds, base = self._setup(tmp_path)
+        base = self._with_test_split(tmp_path, base)
+        real, groups = pipeline.train_group, []
+
+        def recording(features, *args, **kwargs):
+            groups.append(len(features))
+            return real(features, *args, **kwargs)
+        monkeypatch.setattr(pipeline, "train_group", recording)
+        _, results = grid_search(base, {"p": [0.3, 0.7]}, ds=ds)
+        assert groups == [4]  # 2 points x 2 repeats, in one lockstep
+        for r in results:
+            out = Path(base.out_dir, f"grid_{r['grid_index']:04d}")
+            swept = _snapshot(out)
+            run(replace(base, **r["params"], out_dir=str(out)), ds=ds)
+            alone = _snapshot(out)
+            assert swept.pop("timing.json") and alone.pop("timing.json")
+            assert swept == alone and "fold_audit.tsv" in alone
+
+    def test_each_held_out_document_is_tokenized_once(self, tmp_path, monkeypatch):
+        ds, base = self._setup(tmp_path)
+        base = self._with_test_split(tmp_path, base)
+        held = [line.split("\t", 1)[1].rstrip("\n")
+                for path in (base.dev_doc_path, base.test_doc_path)
+                for line in Path(path).read_text().splitlines(keepends=True)]
+        real, calls = featurize.tokenize, Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return real(text)
+        monkeypatch.setattr(featurize, "tokenize", counting)
+        grid_search(base, {"p": [0.3, 0.7]}, ds=ds)
+        only_held = set(held) - set(ds.texts)
+        assert len(only_held) > 50
+        assert {t: calls[t] for t in only_held} == {t: Counter(held)[t] for t in only_held}
+
+    def _failing_point(self, monkeypatch, k, exc):
+        """Make the grid point with ``k`` raise ``exc`` as the sweep opens it; other points
+        run for real."""
+        real = harness._Point
+
+        def point_or_raise(cfg, ds, splits):
             if cfg.k == k:
                 raise exc
-            return real(cfg, ds=ds)
-        monkeypatch.setattr(harness, "run", run_or_raise)
+            return real(cfg, ds, splits)
+        monkeypatch.setattr(harness, "_Point", point_or_raise)
 
     def test_any_exception_at_a_point_is_recorded(self, tmp_path, monkeypatch):
         ds, base = self._setup(tmp_path)

@@ -1,5 +1,5 @@
-"""The stages every method shares: ``FoldConfig``'s checks, and ``pipeline.finish`` seen
-through a harness repeat."""
+"""The stages every method shares: ``FoldConfig``'s checks, ``pipeline.finish`` seen
+through a harness repeat, and the final-model trainer ``train_text_models``."""
 
 from dataclasses import fields
 
@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from wsdenoise import harness, pipeline
+from wsdenoise.corpus import majority_vote
+from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.harness import RunConfig
+from wsdenoise.linear import ClassifierConfig
 from wsdenoise.pipeline import FoldConfig
 from wsdenoise.synth import SynthConfig, generate
 from wsdenoise.ulf import UlfConfig
@@ -79,3 +82,52 @@ def test_refined_t_is_the_results_own(ds, method):
     assert not np.shares_memory(result.refined_t, ds.t)
     if method != "ulf":
         np.testing.assert_array_equal(result.refined_t, ds.t)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_final_fit_is_the_methods_recipe(ds, method):
+    cfg, seed = _config(method), 11
+    result = harness._execute_repeat(ds, cfg, seed, train_final=False)
+    y, rows, w, feat, clf = pipeline.final_fit(result, cfg.featurize_config(),
+                                               cfg.classifier_config(seed))
+    expected_rows, expected_y, expected_w = _recipe(result)
+    assert (rows is None) == (expected_rows is None) and (w is None) == (expected_w is None)
+    for got, expected in [(rows, expected_rows), (y, expected_y), (w, expected_w)]:
+        if expected is not None:
+            np.testing.assert_array_equal(got, expected)
+    assert (feat, clf) == (cfg.featurize_config(), cfg.classifier_config(seed))
+
+
+def test_train_text_models_fits_each_entry_as_alone(ds, monkeypatch):
+    labels = majority_vote(ds, ds.t, 0).labels
+    rows = np.arange(0, ds.n_samples, 2)
+    feat = FeaturizeConfig()
+    fits = [(labels, None, None, feat, ClassifierConfig(seed=1)),
+            (labels[rows], rows, np.linspace(0.5, 1.0, rows.size), feat, ClassifierConfig(seed=2)),
+            (labels, None, None, FeaturizeConfig(min_df=ds.n_samples + 1), ClassifierConfig()),
+            (labels, None, None, feat, ClassifierConfig(learning_rate=50.0, l2=1.0, batch_size=8)),
+            (labels, None, None, FeaturizeConfig(max_features=5),
+             ClassifierConfig(learning_rate=0.5, seed=3))]
+    real, groups = pipeline.train_group, []
+
+    def recording(features, *args, **kwargs):
+        groups.append(len(features))
+        return real(features, *args, **kwargs)
+    monkeypatch.setattr(pipeline, "train_group", recording)
+    got = pipeline.train_text_models(ds, fits)
+    # entries 0 and 1 differ only in their seeds; entry 2 has no vocabulary
+    assert groups == [2, 1, 1]
+    monkeypatch.setattr(pipeline, "train_group", real)
+    assert [type(m).__name__ for m in got] == ["TextModel", "TextModel", "ValueError",
+                                               "RuntimeError", "TextModel"]
+    for fit, model in zip(fits, got):
+        try:
+            alone = pipeline.train_text_model(ds, *fit)
+        except Exception as exc:
+            assert (type(model), str(model)) == (type(exc), str(exc))
+            continue
+        assert alone.vocab.index == model.vocab.index
+        np.testing.assert_array_equal(alone.vocab.df, model.vocab.df)
+        assert alone.model.weights.tobytes() == model.model.weights.tobytes()
+        assert alone.model.bias.tobytes() == model.model.bias.tobytes()
+        assert alone.model.training_log == model.model.training_log

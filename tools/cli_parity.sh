@@ -25,9 +25,12 @@
 # too, wscl by signature and by LF, wscl with --lambda_rate 1, wscl with every
 # setting read from a --config file, a ulf grid over --p 0.3,0.7 x --iters 2,3,
 # a wscl grid over --lr 0.1,50 --l2 1, whose second point's folds diverge, so a
-# recorded fold failure is compared too, and a wscw grid over --epsilon
+# recorded fold failure is compared too, a wscw grid over --epsilon
 # 0.5,0.8,1.0 with --budget 2, so the budget's seeded choice of points is
-# compared too.  The metrics' other branches are compared through a baseline
+# compared too, a ulf grid over --p 0.4,0.6, whose 2 points x 2 repeats train
+# their 4 final models in one lockstep, and a baseline grid over --lr 0.1,50
+# --l2 1, whose second point's final models both diverge ("non-finite loss at
+# epoch 4"), so a recorded final-model failure is compared too.  The metrics' other branches are compared through a baseline
 # scored by --metric macro_f1 and a wscl run scored by --metric binary_f1.  One
 # more ulf run (--iters 2) has no held-out split and is scored on training gold,
 # so the null-dev form of metrics.json is compared too.  The `stats` verb's
@@ -110,6 +113,9 @@ CFG
     wsd grid --method ulf "${io[@]}" --p 0.3,0.7 --iters 2,3 --out_dir runs/grid_ulf
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
     wsd grid --method wscw "${io[@]}" --epsilon 0.5,0.8,1.0 --budget 2 --out_dir runs/grid_wscw
+    wsd grid --method ulf "${io[@]}" --p 0.4,0.6 --iters 2 --out_dir runs/grid_ulf_lockstep
+    wsd grid --method baseline_majority "${io[@]}" --lr 0.1,50 --l2 1 \
+        --out_dir runs/grid_baseline_diverging
     wsd ulf "${train[@]}" --gold_path data/gold.tsv --repeats 2 --iters 2 --out_dir runs/ulf_gold
     local blocks=(--doc_path blocks/docs.tsv --z_path blocks/z.tsv --t_path blocks/t.tsv
                   --gold_path blocks/gold.tsv)
