@@ -69,9 +69,6 @@ def _field_types(cls) -> dict:
 
 
 _RUN_TYPES = _field_types(RunConfig)
-# verb options that are not config fields; a budget of none means no limit
-_VERB_TYPES = {"budget": (int, True)}
-_VERB_OF = {"budget": "grid"}  # the one verb that takes each
 # each verb's method, else the verb itself; grid's is only a default
 _METHOD_OF = {"baseline": "baseline_majority", "stats": "baseline_majority", "grid": "ulf"}
 
@@ -149,9 +146,8 @@ def main(argv=None) -> int:
 
     values = parse_config_file(ns.config) if ns.config else {}
     values.update(_parse_overrides(rest))
-    for key, verb in _VERB_OF.items():
-        if key in values and ns.verb != verb:
-            raise ValueError(f"--{key} is a {verb} option; the {ns.verb} verb does not take it")
+    if "budget" in values and ns.verb != "grid":
+        raise ValueError(f"--budget is a grid option; the {ns.verb} verb does not take it")
 
     if ns.verb == "synth":
         return _cmd_synth(values)
@@ -170,7 +166,8 @@ def main(argv=None) -> int:
         return 0
 
     if ns.verb == "grid":
-        budget = _coerce("budget", values.pop("budget", "none"), _VERB_TYPES)
+        # a grid option, not a config field; a budget of none means no limit
+        budget = _coerce("budget", values.pop("budget", "none"), {"budget": (int, True)})
         scalars, space = _build_grid(values)
         base = _build(RunConfig, scalars, method=method)
         if not space:

@@ -20,16 +20,13 @@ train fold takes ``min(available, floor(matched_train_size / lambda))``
 unmatched samples, seeded-random without replacement, carrying their current
 labels.
 
-``estimate_oos`` makes one ordered pass over groups of consecutive folds
-whose training rows hold at most ``_GROUP_NNZ`` stored counts: a group's
-folds are cut only after the group before it has predicted, block by block
-into one stacked copy, and train in one ``linear.train_group`` call, each
-model bitwise the one it would be alone.
+``train_fits`` trains every text model, the fold models of ``estimate_oos``
+and a run's final models alike, in the groups its docstring describes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +37,8 @@ from wsdenoise.linear import ClassifierConfig, predict_proba, train_group
 from wsdenoise.seeding import derive_seed
 
 STRATEGIES = ("random", "by_lf", "by_signature")
-# stored counts in a fold group's training rows; they bound the nonzeros of its one stacked
-# copy of its features (~12.6 MB, plus a 12-byte bias entry per row); a larger fold trains alone
+# stored counts in a train_fits group's training rows; they bound the nonzeros of its one stacked
+# copy of its features (~12.6 MB, plus a 12-byte bias entry per row); a larger model trains alone
 _GROUP_NNZ = 1 << 20
 
 
@@ -155,35 +152,58 @@ def _groups(sizes) -> list:
     return groups
 
 
+def train_fits(ds: WeakDataset, fits: list):
+    """Train a text model per entry ``(labels, rows, sample_weights, feat_cfg, clf_cfg)`` of
+    ``fits`` on ``rows`` of ``ds`` (all rows for None); yield per entry ``(entry, vocabulary,
+    column map, model or the exception that stopped it)``.
+
+    Entries whose classifier configs differ at most in their seeds, adjacent or not, train
+    together, in the ``linear.train_group`` calls that ``_groups`` plans from their stored
+    training counts, which bound their TF-IDF nonzeros; each model is bitwise as alone.  A
+    group is cut, block by block into one stacked copy, only after the one before it has been
+    consumed.  When an entry's features fail, the entries cut before it train and are yielded
+    first, then its exception, and the next group starts after it.
+    """
+    tc, by_cfg = ds.term_counts, {}  # classifier config but its seed -> entries
+    row_nnz = np.diff(tc.counts.indptr)
+    for i, fit in enumerate(fits):
+        by_cfg.setdefault(astuple(replace(fit[4], seed=0)), []).append(i)
+
+    def train(cut):  # [(entry, vocabulary, column map, features)] -> what train_fits yields
+        models = train_group([x for *_, x in cut], [fits[i][0] for i, *_ in cut],
+                             [fits[i][2] for i, *_ in cut], fits[cut[0][0]][4],
+                             [fits[i][4].seed for i, *_ in cut],
+                             num_classes=ds.num_classes) if cut else []
+        return [(i, vocab, columns, model) for (i, vocab, columns, _), model in zip(cut, models)]
+
+    for entries in by_cfg.values():
+        sizes = [row_nnz.sum() if fits[i][1] is None else row_nnz[fits[i][1]].sum()
+                 for i in entries]
+        for group in _groups(sizes):
+            cut = []
+            for i in (entries[g] for g in group):
+                try:
+                    cut.append((i, *fit_rows(tc, fits[i][1], fits[i][3])))
+                except Exception as exc:
+                    yield from train(cut)
+                    cut = []
+                    yield i, None, None, exc
+            yield from train(cut)
+
+
 def _fold_probs(ds: WeakDataset, y: np.ndarray, plan: FoldPlan,
                 feat_cfg: FeaturizeConfig, clf_cfg: ClassifierConfig):
     """Each fold's out-of-sample probabilities, in fold order; a failed fold raises its error.
 
-    ``_groups`` plans the groups from each fold's stored training counts, which
-    bound its TF-IDF nonzeros; fold f trains with seed ``derive_seed(clf_cfg.seed, f)``.
-    When a fold's features fail, the folds cut before it train and predict
-    first, and no later fold is cut.
+    Fold f trains in ``train_fits`` with seed ``derive_seed(clf_cfg.seed, f)``;
+    the first failure is raised, so no later fold is cut.
     """
-    tc, folds = ds.term_counts, plan.folds
-    row_nnz = np.diff(tc.counts.indptr)
-    for group in _groups([row_nnz[tr].sum() for tr, _ in folds]):
-        cut, error = [], None
-        for fi in group:
-            try:
-                cut.append([fi, *fit_rows(tc, folds[fi][0], feat_cfg)])
-            except Exception as exc:
-                error = exc
-                break
-        if cut:
-            models = train_group([x for *_, x in cut], [y[folds[fi][0]] for fi, *_ in cut], None,
-                                 clf_cfg, [derive_seed(clf_cfg.seed, fi) for fi, *_ in cut],
-                                 num_classes=ds.num_classes)
-            for (fi, vocab, columns, _), model in zip(cut, models):
-                if isinstance(model, Exception):
-                    raise model
-                yield predict_proba(model, transform_rows(tc, folds[fi][1], vocab, columns))
-        if error is not None:
-            raise error
+    fits = [(y[tr], tr, None, feat_cfg, replace(clf_cfg, seed=derive_seed(clf_cfg.seed, fi)))
+            for fi, (tr, _) in enumerate(plan.folds)]
+    for fi, vocab, cols, model in train_fits(ds, fits):
+        if isinstance(model, Exception):
+            raise model
+        yield predict_proba(model, transform_rows(ds.term_counts, plan.folds[fi][1], vocab, cols))
 
 
 def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
@@ -196,25 +216,21 @@ def estimate_oos(ds: WeakDataset, labels: LabelVector, plan: FoldPlan,
     dataset's count matrix, so no document is tokenized twice.  Samples
     tested by several folds get the arithmetic mean of their probability rows.
 
-    The folds run group by group (``_fold_probs``); a failure is raised as
+    The folds train in the groups of ``train_fits``; a failure is raised as
     ``fold f: ...`` for the lowest failing fold, and the result is bitwise the
     one of running the folds one by one, as ``ref_estimate_oos`` in
     ``tests/reference.py`` does.
     """
-    feat_cfg = feat_cfg or FeaturizeConfig()
-    clf_cfg = clf_cfg or ClassifierConfig()
-    y = as_labels(labels)
-    probs = _fold_probs(ds, y, plan, feat_cfg, clf_cfg)
+    probs = _fold_probs(ds, as_labels(labels), plan, feat_cfg or FeaturizeConfig(),
+                        clf_cfg or ClassifierConfig())
     acc = np.zeros((ds.n_samples, ds.num_classes))
     cnt = np.zeros(ds.n_samples, dtype=np.int64)
     for fi, (_, te) in enumerate(plan.folds):
         try:
-            p = next(probs)
+            acc[te] += next(probs)
         except Exception as exc:
             raise RuntimeError(f"fold {fi}: {exc}") from exc
-        acc[te] += p
         cnt[te] += 1
     if (cnt == 0).any():
-        missing = int(np.flatnonzero(cnt == 0)[0])
-        raise RuntimeError(f"sample {missing} was not tested by any fold")
+        raise RuntimeError(f"sample {int(np.flatnonzero(cnt == 0)[0])} was not tested by any fold")
     return OOSProbs(acc / cnt[:, None], cnt)

@@ -50,6 +50,8 @@ class FeaturizeConfig:
     max_features: int | None = None  # None keeps every term
 
     def __post_init__(self):
+        if self.min_df < 1:
+            raise ValueError("min_df must be >= 1")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be >= 1 or None")
 

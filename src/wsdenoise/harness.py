@@ -360,17 +360,16 @@ def _sweep(ds: WeakDataset, cfgs: list) -> list:
     """Run each config's repeats in order; return per config its ``metrics.json`` record or
     the exception that stopped it.  A repeat that raises is recorded; KeyboardInterrupt stops.
 
-    Each repeat's method runs without its final model.  Final models train in
-    chunks of consecutive repeats (``train_text_models``), planned by
-    ``crossval._groups`` from the whole dataset's stored counts, a bound on a
-    model's features, so a chunk is no larger than a fold group; then the
-    chunk's repeats are scored in order.  A repeat without a held-out split
-    needs no model and is scored as soon as its method returns.
+    Each repeat's method runs without its final model.  Results wait in chunks
+    of consecutive repeats, planned by ``crossval._groups`` from the whole
+    dataset's stored counts to bound the results held; then the chunk's final
+    models train (``train_text_models``, in ``crossval.train_fits``' groups) and
+    its repeats are scored in order.  A repeat without a held-out split needs
+    no model and is scored as soon as its method returns.
     """
     points, splits = [None] * len(cfgs), {}
     jobs = [(i, r) for i, cfg in enumerate(cfgs) for r in range(cfg.repeats)]
-    final = any(cfg.dev_doc_path or cfg.test_doc_path for cfg in cfgs)
-    for chunk in _groups([ds.term_counts.counts.nnz if final else 0] * len(jobs)):
+    for chunk in _groups([ds.term_counts.counts.nnz] * len(jobs)):
         pending = []  # (point, repeat, result or exception) of the chunk's final models
         for i, r in (jobs[j] for j in chunk):
             if r == 0:

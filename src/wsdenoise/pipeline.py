@@ -21,9 +21,10 @@ import numpy as np
 
 from wsdenoise.confidence import class_thresholds, confident_labels
 from wsdenoise.corpus import LabelVector, WeakDataset, as_labels
-from wsdenoise.crossval import STRATEGIES, FoldPlan, OOSProbs, build_plan, estimate_oos
-from wsdenoise.featurize import FeaturizeConfig, TermCounts, Vocabulary, fit_rows, transform
-from wsdenoise.linear import ClassifierConfig, Model, predict_proba, train_group
+from wsdenoise.crossval import (STRATEGIES, FoldPlan, OOSProbs, build_plan, estimate_oos,
+                                train_fits)
+from wsdenoise.featurize import FeaturizeConfig, TermCounts, Vocabulary, transform
+from wsdenoise.linear import ClassifierConfig, Model, predict_proba
 
 # stage key -> (dataset, labels, OOSProbs) of the last estimate under that key;
 # None outside an ``evidence_memo`` block
@@ -68,26 +69,11 @@ class TextModel:
 
 def train_text_models(ds: WeakDataset, fits: list) -> list:
     """Per entry of ``fits``, the arguments of ``train_text_model`` after ``ds`` (configs
-    given), that function's ``TextModel``, or the exception it would raise.
-
-    The entries whose classifier configs differ at most in their seeds train
-    in one ``linear.train_group`` call, each model bit for bit as alone.
-    """
-    out, groups = [None] * len(fits), {}  # classifier config but its seed -> [(entry, vocab, x)]
-    for i, (_, rows, _, feat_cfg, clf_cfg) in enumerate(fits):
-        try:
-            vocab, _, x = fit_rows(ds.term_counts, rows, feat_cfg)
-        except Exception as exc:
-            out[i] = exc
-            continue
-        groups.setdefault(astuple(replace(clf_cfg, seed=0)), []).append((i, vocab, x))
-    for group in groups.values():
-        clfs = [fits[i][4] for i, *_ in group]
-        models = train_group([x for *_, x in group], [fits[i][0] for i, *_ in group],
-                             [fits[i][2] for i, *_ in group], clfs[0],
-                             [clf.seed for clf in clfs], num_classes=ds.num_classes)
-        for (i, vocab, _), model in zip(group, models):
-            out[i] = model if isinstance(model, Exception) else TextModel(vocab, model)
+    given), that function's ``TextModel``, or the exception it would raise; the entries train
+    in the groups of ``crossval.train_fits``."""
+    out = [None] * len(fits)
+    for i, vocab, _, model in train_fits(ds, fits):
+        out[i] = model if isinstance(model, Exception) else TextModel(vocab, model)
     return out
 
 

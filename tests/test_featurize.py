@@ -38,6 +38,11 @@ class TestFitVocabulary:
         with pytest.raises(ValueError, match="max_features must be >= 1 or None"):
             FeaturizeConfig(max_features=max_features)
 
+    @pytest.mark.parametrize("min_df", [0, -3])
+    def test_min_df_below_one_rejected(self, min_df):
+        with pytest.raises(ValueError, match="min_df must be >= 1"):
+            FeaturizeConfig(min_df=min_df)
+
     def test_empty_vocabulary_raises(self):
         with pytest.raises(ValueError, match="empty"):
             fit_vocabulary(["a", "b"], FeaturizeConfig(min_df=5))

@@ -160,6 +160,7 @@ class TestRunConfig:
         ("wscl", "epsilon", 0, "epsilon must lie in"),
         ("ulf", "epsilon", 2, "epsilon must lie in"),
         ("ulf", "partitions", -3, "partitions must be >= 1"),
+        ("wscl", "min_df", 0, "min_df must be >= 1"),
     ])
     def test_rejects_bad_method_value(self, method, key, value, match):
         with pytest.raises(ValueError, match=match):
@@ -590,12 +591,17 @@ class TestGridSearch:
     def test_points_equal_standalone_runs(self, tmp_path, monkeypatch):
         ds, base = self._setup(tmp_path)
         base = self._with_test_split(tmp_path, base)
-        real, groups = pipeline.train_group, []
+        real, groups = crossval.train_group, []
 
         def recording(features, *args, **kwargs):
             groups.append(len(features))
             return real(features, *args, **kwargs)
-        monkeypatch.setattr(pipeline, "train_group", recording)
+
+        def final_models(ds_, fits):  # records the final models' calls, not the folds'
+            with monkeypatch.context() as patch:
+                patch.setattr(crossval, "train_group", recording)
+                return pipeline.train_text_models(ds_, fits)
+        monkeypatch.setattr(harness, "train_text_models", final_models)
         _, results = grid_search(base, {"p": [0.3, 0.7]}, ds=ds)
         assert groups == [4]  # 2 points x 2 repeats, in one lockstep
         for r in results:
@@ -990,6 +996,11 @@ class TestCli:
         with pytest.raises(ValueError,
                            match=f"--{key} is a {owner} option; the {argv[0]} verb does not"):
             cli.main(argv)
+
+    def test_budget_outside_grid_message(self):
+        with pytest.raises(ValueError) as info:
+            cli.main(["ulf", "--budget", "2"])
+        assert str(info.value) == "--budget is a grid option; the ulf verb does not take it"
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):

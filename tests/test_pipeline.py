@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wsdenoise import harness, pipeline
+from wsdenoise import crossval, harness, pipeline
 from wsdenoise.corpus import majority_vote
 from wsdenoise.featurize import FeaturizeConfig
 from wsdenoise.harness import RunConfig
@@ -108,16 +108,25 @@ def test_train_text_models_fits_each_entry_as_alone(ds, monkeypatch):
             (labels, None, None, feat, ClassifierConfig(learning_rate=50.0, l2=1.0, batch_size=8)),
             (labels, None, None, FeaturizeConfig(max_features=5),
              ClassifierConfig(learning_rate=0.5, seed=3))]
-    real, groups = pipeline.train_group, []
+    real, groups = crossval.train_group, []
 
     def recording(features, *args, **kwargs):
         groups.append(len(features))
         return real(features, *args, **kwargs)
-    monkeypatch.setattr(pipeline, "train_group", recording)
+    monkeypatch.setattr(crossval, "train_group", recording)
     got = pipeline.train_text_models(ds, fits)
     # entries 0 and 1 differ only in their seeds; entry 2 has no vocabulary
     assert groups == [2, 1, 1]
-    monkeypatch.setattr(pipeline, "train_group", real)
+    # equal configs share a call even when another config lies between them
+    groups.clear()
+    pipeline.train_text_models(ds, [fits[0], fits[4], fits[1]])
+    assert groups == [2, 1]
+    # final models are bounded as folds are: each entry here holds the whole bound
+    groups.clear()
+    monkeypatch.setattr(crossval, "_GROUP_NNZ", ds.term_counts.counts.nnz)
+    pipeline.train_text_models(ds, [fits[0]] * 3)
+    assert groups == [1, 1, 1]
+    monkeypatch.setattr(crossval, "train_group", real)
     assert [type(m).__name__ for m in got] == ["TextModel", "TextModel", "ValueError",
                                                "RuntimeError", "TextModel"]
     for fit, model in zip(fits, got):

@@ -28,9 +28,12 @@
 # recorded fold failure is compared too, a wscw grid over --epsilon
 # 0.5,0.8,1.0 with --budget 2, so the budget's seeded choice of points is
 # compared too, a ulf grid over --p 0.4,0.6, whose 2 points x 2 repeats train
-# their 4 final models in one lockstep, and a baseline grid over --lr 0.1,50
-# --l2 1, whose second point's final models both diverge ("non-finite loss at
-# epoch 4"), so a recorded final-model failure is compared too.  The metrics' other branches are compared through a baseline
+# their 4 final models in one lockstep, a wscw grid over --epsilon 0.5,0.9 x --lr
+# 0.1,0.2 (--repeats 2), whose classifier axis is the inner one, so final models
+# of equal configs lie apart in the sweep and still train together, and a
+# baseline grid over --lr 0.1,50 --l2 1, whose second point's final models both
+# diverge ("non-finite loss at epoch 4"), so a recorded final-model failure is
+# compared too.  The metrics' other branches are compared through a baseline
 # scored by --metric macro_f1 and a wscl run scored by --metric binary_f1.  One
 # more ulf run (--iters 2) has no held-out split and is scored on training gold,
 # so the null-dev form of metrics.json is compared too.  The `stats` verb's
@@ -114,6 +117,8 @@ CFG
     wsd grid --method wscl "${io[@]}" --lr 0.1,50 --l2 1 --out_dir runs/grid_wscl
     wsd grid --method wscw "${io[@]}" --epsilon 0.5,0.8,1.0 --budget 2 --out_dir runs/grid_wscw
     wsd grid --method ulf "${io[@]}" --p 0.4,0.6 --iters 2 --out_dir runs/grid_ulf_lockstep
+    wsd grid --method wscw "${io[@]}" --epsilon 0.5,0.9 --lr 0.1,0.2 --repeats 2 \
+        --out_dir runs/grid_wscw_inner_lr
     wsd grid --method baseline_majority "${io[@]}" --lr 0.1,50 --l2 1 \
         --out_dir runs/grid_baseline_diverging
     wsd ulf "${train[@]}" --gold_path data/gold.tsv --repeats 2 --iters 2 --out_dir runs/ulf_gold
